@@ -775,20 +775,3 @@ func BenchmarkTraceGen(b *testing.B) {
 		_ = pair.Bench.Trace(tracegen.Input{Seed: int64(i), Events: 20_000})
 	}
 }
-
-// BenchmarkQueueTouch times the Q maintenance hot path.
-func BenchmarkQueueTouch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ids := make([]trg.BlockID, 4096)
-	sizes := make([]int, 4096)
-	for i := range ids {
-		ids[i] = trg.BlockID(rng.Intn(500))
-		sizes[i] = rng.Intn(2000) + 64
-	}
-	q := trg.NewQueue(16384)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(ids)
-		q.Touch(ids[j], sizes[j], nil)
-	}
-}

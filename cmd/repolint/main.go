@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -229,6 +230,17 @@ func (l *loader) load(path string) *loadedPkg {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Type-check the files the go command would build here: a file
+		// excluded by its build constraints (a per-OS variant) would
+		// otherwise redeclare its siblings' names.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			lp.err = err
+			return lp
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -101,10 +101,14 @@ func bestAlignmentAssoc(n1, n2 *node, db *trg.PairDB, chunker *program.Chunker, 
 func assocSetCost(own, other []program.ChunkID, db *trg.PairDB) int64 {
 	var total int64
 	for _, p := range own {
+		row := db.Row(trg.BlockID(p))
+		if row.Empty() {
+			continue
+		}
 		// Pairs with both members in other.
 		for i := 0; i < len(other); i++ {
 			for j := i + 1; j < len(other); j++ {
-				total += db.Count(trg.BlockID(p), trg.BlockID(other[i]), trg.BlockID(other[j]))
+				total += row.Count(trg.BlockID(other[i]), trg.BlockID(other[j]))
 			}
 		}
 		// Mixed pairs: one member from own (not p itself), one from other.
@@ -113,7 +117,7 @@ func assocSetCost(own, other []program.ChunkID, db *trg.PairDB) int64 {
 				continue
 			}
 			for _, s := range other {
-				total += db.Count(trg.BlockID(p), trg.BlockID(r), trg.BlockID(s))
+				total += row.Count(trg.BlockID(r), trg.BlockID(s))
 			}
 		}
 	}

@@ -122,13 +122,28 @@ func TestNodeShiftWraps(t *testing.T) {
 	}
 }
 
+func newPairDB(t *testing.T, ids int) *trg.PairDB {
+	t.Helper()
+	db, err := trg.NewPairDB(ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func addPair(t *testing.T, db *trg.PairDB, p, r, s trg.BlockID) {
+	t.Helper()
+	if err := db.Add(p, r, s); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAssocSetCostChargesTriplesOnly(t *testing.T) {
-	db := trg.NewPairDB()
+	db := newPairDB(t, 32)
 	// D(p, {r,s}) = 4: p misses when both r and s intervene.
-	db.Add(10, 20, 21)
-	db.Add(10, 20, 21)
-	db.Add(10, 20, 21)
-	db.Add(10, 20, 21)
+	for i := 0; i < 4; i++ {
+		addPair(t, db, 10, 20, 21)
+	}
 
 	own := []program.ChunkID{10}
 	other := []program.ChunkID{20, 21}
@@ -140,8 +155,8 @@ func TestAssocSetCostChargesTriplesOnly(t *testing.T) {
 		t.Errorf("single-intervener cost = %d, want 0", got)
 	}
 	// Mixed pair: r in own with p, s in other.
-	db2 := trg.NewPairDB()
-	db2.Add(10, 11, 20)
+	db2 := newPairDB(t, 32)
+	addPair(t, db2, 10, 11, 20)
 	if got := assocSetCost([]program.ChunkID{10, 11}, []program.ChunkID{20}, db2); got != 1 {
 		t.Errorf("mixed-pair cost = %d, want 1", got)
 	}
@@ -155,11 +170,11 @@ func TestBestAlignmentAssocSeparatesToxicTriple(t *testing.T) {
 		{Name: "s", Size: 32},
 	})
 	ch := program.MustNewChunker(prog, 32)
-	db := trg.NewPairDB()
+	db := newPairDB(t, ch.NumChunks())
 	pc := trg.BlockID(ch.FirstChunk(0))
 	rc := trg.BlockID(ch.FirstChunk(1))
 	sc := trg.BlockID(ch.FirstChunk(2))
-	db.Add(pc, rc, sc)
+	addPair(t, db, pc, rc, sc)
 
 	// Node 1 holds r and s in the same set (set 0); node 2 holds p.
 	n1 := &node{procs: []place.Placed{{Proc: 1, Line: 0}, {Proc: 2, Line: 0}}}

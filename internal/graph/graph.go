@@ -35,6 +35,15 @@ func (g *Graph) AddNode(n NodeID) {
 	}
 }
 
+// AddNodeCap is AddNode that sizes a new node's adjacency for about
+// degree neighbors, so a builder that knows the degrees up front adds the
+// edges without rehashing.
+func (g *Graph) AddNodeCap(n NodeID, degree int) {
+	if _, ok := g.adj[n]; !ok {
+		g.adj[n] = make(map[NodeID]int64, degree)
+	}
+}
+
 // HasNode reports whether n is present.
 func (g *Graph) HasNode(n NodeID) bool {
 	_, ok := g.adj[n]
@@ -235,23 +244,6 @@ func (g *Graph) RemoveNode(n NodeID) {
 		delete(g.adj[v], n)
 	}
 	delete(g.adj, n)
-}
-
-// AddGraph merges src into g: nodes are unioned and the weights of edges
-// present in both are summed. Addition is commutative and associative, so
-// folding any partition of a graph back together yields the same result in
-// any merge order — the property the sharded TRG builder relies on (the
-// same snapshot-merge discipline as telemetry.Registry.Snapshot). src is
-// not modified.
-func (g *Graph) AddGraph(src *Graph) {
-	for u, m := range src.adj {
-		g.AddNode(u)
-		for v, w := range m {
-			if u < v {
-				g.AddEdgeWeight(u, v, w)
-			}
-		}
-	}
 }
 
 // Clone returns a deep copy. The copy's adjacency maps are preallocated to

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/metrics"
 	"runtime/pprof"
 )
 
@@ -54,17 +53,4 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
-}
-
-// CPUSeconds returns the process's cumulative user-mode CPU time in
-// seconds, from the runtime's scheduler accounting. The runtime documents
-// these as estimates; they are plenty accurate for per-experiment CPU
-// attribution in run reports.
-func CPUSeconds() float64 {
-	sample := []metrics.Sample{{Name: "/cpu/classes/user:cpu-seconds"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() != metrics.KindFloat64 {
-		return 0
-	}
-	return sample[0].Value.Float64()
 }

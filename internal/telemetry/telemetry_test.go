@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -185,5 +186,29 @@ func TestTimer(t *testing.T) {
 	}
 	if st.TotalNS <= 0 || st.MaxNS != st.TotalNS {
 		t.Errorf("timer stats = %+v, want positive total == max", st)
+	}
+}
+
+var busySink uint64
+
+// A single goroutine spinning for a while must be charged some CPU time,
+// and no more than the wall time on every P plus a little slack.
+func TestCPUSecondsTracksBusyLoop(t *testing.T) {
+	start := time.Now()
+	cpu0 := CPUSeconds()
+	x := uint64(1)
+	for time.Since(start) < 200*time.Millisecond {
+		for i := 0; i < 10000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+	}
+	cpu := CPUSeconds() - cpu0
+	wall := time.Since(start).Seconds()
+	busySink = x
+	if cpu <= 0 {
+		t.Fatalf("busy loop of %.3fs wall reported %.3fs CPU", wall, cpu)
+	}
+	if limit := wall*float64(runtime.GOMAXPROCS(0)) + 0.05; cpu > limit {
+		t.Fatalf("busy loop of %.3fs wall reported %.3fs CPU, above %.3fs", wall, cpu, limit)
 	}
 }

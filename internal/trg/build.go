@@ -74,42 +74,6 @@ func BuildWithStats(prog *program.Program, tr *trace.Trace, opts Options) (*Resu
 	return b.Result(), b.BuildStats(), nil
 }
 
-// PairKey identifies an entry of the pair database D(p,{r,s}); R < S.
-type PairKey struct {
-	P    BlockID
-	R, S BlockID
-}
-
-// PairDB is the Section-6 temporal-relationship database for set-associative
-// caches: D(p,{r,s}) estimates how many references to p would miss if p, r
-// and s all occupied the same 2-way set, because both r and s intervene
-// between consecutive references to p.
-type PairDB struct {
-	m map[PairKey]int64
-}
-
-// NewPairDB creates an empty database.
-func NewPairDB() *PairDB { return &PairDB{m: make(map[PairKey]int64)} }
-
-// Add increments D(p,{r,s}).
-func (d *PairDB) Add(p, r, s BlockID) {
-	if r > s {
-		r, s = s, r
-	}
-	d.m[PairKey{P: p, R: r, S: s}]++
-}
-
-// Count returns D(p,{r,s}).
-func (d *PairDB) Count(p, r, s BlockID) int64 {
-	if r > s {
-		r, s = s, r
-	}
-	return d.m[PairKey{P: p, R: r, S: s}]
-}
-
-// Len returns the number of non-zero entries.
-func (d *PairDB) Len() int { return len(d.m) }
-
 // BuildPairs constructs the chunk-granularity pair database (and the
 // ordinary chunk TRG, which the set-associative placer still uses for its
 // node-selection loop) in one trace pass.

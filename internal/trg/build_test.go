@@ -110,9 +110,15 @@ func TestBuildValidatesOptions(t *testing.T) {
 }
 
 func TestPairDB(t *testing.T) {
-	db := NewPairDB()
-	db.Add(1, 3, 2)
-	db.Add(1, 2, 3)
+	db, err := NewPairDB(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range [][3]BlockID{{1, 3, 2}, {1, 2, 3}} {
+		if err := db.Add(k[0], k[1], k[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := db.Count(1, 2, 3); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
 	}
@@ -124,6 +130,66 @@ func TestPairDB(t *testing.T) {
 	}
 	if db.Len() != 1 {
 		t.Errorf("Len = %d, want 1", db.Len())
+	}
+}
+
+// Blocks outside the tracked set count 0 and cannot be added; a tracked
+// space beyond the 16-bit rank key is refused up front.
+func TestPairDBTrackedSpace(t *testing.T) {
+	db, err := NewPairDB(6, func(id BlockID) bool { return id%2 == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Add(0, 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Count(0, 4, 2); got != 1 {
+		t.Errorf("Count = %d, want 1", got)
+	}
+	for _, k := range [][3]BlockID{{1, 2, 4}, {0, 1, 2}, {0, 2, 2}, {0, 2, 6}, {-1, 2, 4}, {9, 2, 4}} {
+		if db.Add(k[0], k[1], k[2]) == nil {
+			t.Errorf("Add%v accepted an untracked or degenerate triple", k)
+		}
+		if got := db.Count(k[0], k[1], k[2]); got != 0 {
+			t.Errorf("Count%v = %d, want 0", k, got)
+		}
+	}
+	if db.Len() != 1 {
+		t.Errorf("Len = %d, want 1", db.Len())
+	}
+	if !db.Row(1).Empty() || !db.Row(2).Empty() || db.Row(0).Empty() {
+		t.Error("Row emptiness wrong")
+	}
+	if _, err := NewPairDB(MaxPairChunks, nil); err != nil {
+		t.Errorf("NewPairDB at the limit: %v", err)
+	}
+	if _, err := NewPairDB(MaxPairChunks+1, nil); err == nil {
+		t.Error("NewPairDB accepted more chunks than the rank key holds")
+	}
+}
+
+// NewBuilder counts the tracked chunk space before any event: a popular
+// procedure too large for the pair key fails pair tracking only, and
+// filtering it out of the popular set makes the same program buildable.
+func TestNewBuilderRejectsOversizedPairSpace(t *testing.T) {
+	prog := program.MustNew([]program.Procedure{
+		{Name: "huge", Size: (MaxPairChunks + 1) * 32},
+		{Name: "small", Size: 64},
+	})
+	opts := Options{ChunkSize: 32}
+	if _, err := NewBuilder(prog, opts, true); err == nil {
+		t.Fatal("NewBuilder tracked more chunks than the pair key holds")
+	}
+	if _, err := NewBuilder(prog, opts, false); err != nil {
+		t.Fatalf("plain TRG build refused: %v", err)
+	}
+	tr := trace.MustFromNames(prog, "small", "small")
+	opts.Popular = popular.Select(prog, tr, popular.Options{})
+	if opts.Popular.Contains(0) {
+		t.Fatal("huge procedure unexpectedly popular")
+	}
+	if _, err := NewBuilder(prog, opts, true); err != nil {
+		t.Fatalf("filtered pair build refused: %v", err)
 	}
 }
 

@@ -151,11 +151,11 @@ func TestFigure3QProcessingSteps(t *testing.T) {
 	m, _ := prog.Lookup("M")
 	x, _ := prog.Lookup("X")
 	z, _ := prog.Lookup("Z")
-	q := NewQueue(2 * 8192)
+	q := newDenseQueue(2*8192, prog.NumProcs())
 
 	inc := map[[2]BlockID]int{}
 	touch := func(p program.ProcID) {
-		q.Touch(BlockID(p), prog.Size(p), func(b BlockID) {
+		touchQ(q, BlockID(p), prog.Size(p), func(b BlockID) {
 			key := [2]BlockID{BlockID(p), b}
 			inc[key]++
 		})
@@ -177,7 +177,7 @@ func TestFigure3QProcessingSteps(t *testing.T) {
 	}
 	// (c) Q now contains X, M, Z (total below 2x cache size).
 	want := []BlockID{BlockID(x), BlockID(m), BlockID(z)}
-	got := q.Blocks()
+	got := q.blocks()
 	if len(got) != len(want) {
 		t.Fatalf("Q = %v, want %v", got, want)
 	}

@@ -15,18 +15,22 @@ import (
 // techniques"): an instrumented program calls Observe on every procedure
 // entry and return, and Result can be taken at any point — no trace is ever
 // materialized.
+//
+// Both graphs accumulate as per-block row tables (one rowTable per node,
+// keyed by the intervening block) and become graph.Graph values only when
+// Result freezes them.
 type Builder struct {
 	prog    *program.Program
-	opts    Options
 	chunker *program.Chunker
 	keep    func(program.ProcID) bool
 
-	sel   *graph.Graph
-	place *graph.Graph
+	sel   edgeRows
+	place edgeRows
 	db    *PairDB // nil unless pair tracking enabled
 
-	qSel   *Queue
-	qPlace *Queue
+	qSel   *denseQueue
+	qPlace *denseQueue
+	buf    []BlockID // scratch interleaved blocks
 
 	qLenSum int64
 	qSteps  int64
@@ -36,6 +40,61 @@ type Builder struct {
 	// telemetry.BucketIndex; a plain array so the per-event cost is one
 	// increment, merged into a shard wholesale by whoever wants it.
 	qHist [telemetry.NumBuckets]int64
+}
+
+// edgeRows accumulates one TRG: rows[u] counts, per intervening block v,
+// how often v occurred between two consecutive references to u. The edge
+// weight W(u,v) is rows[u][v] + rows[v][u].
+type edgeRows struct {
+	rows []rowTable
+	seen []bool // blocks observed, the graph's node set
+}
+
+func newEdgeRows(ids int) edgeRows {
+	return edgeRows{rows: make([]rowTable, ids), seen: make([]bool, ids)}
+}
+
+// record notes a reference to id and one interleaving with each block of
+// between.
+func (r *edgeRows) record(id BlockID, between []BlockID) {
+	r.seen[id] = true
+	row := &r.rows[id]
+	for _, v := range between {
+		row.add(uint32(v), 1)
+	}
+}
+
+// merge adds o's nodes and counts into r.
+func (r *edgeRows) merge(o *edgeRows) {
+	for u := range o.rows {
+		r.seen[u] = r.seen[u] || o.seen[u]
+		r.rows[u].merge(&o.rows[u])
+	}
+}
+
+// freeze builds the graph: every observed block is a node, and the edge
+// {u,v} carries rows[u][v] + rows[v][u], added once from the row of its
+// smaller endpoint (or from the only row that holds it).
+func (r *edgeRows) freeze() *graph.Graph {
+	g := graph.New()
+	for u := range r.rows {
+		if r.seen[u] {
+			g.AddNodeCap(graph.NodeID(u), r.rows[u].n)
+		}
+	}
+	for u := range r.rows {
+		r.rows[u].each(func(v uint32, w int64) {
+			if int(v) < u {
+				if r.rows[v].get(uint32(u)) != 0 {
+					return // added from v's row
+				}
+			} else {
+				w += r.rows[v].get(uint32(u))
+			}
+			g.AddEdgeWeight(graph.NodeID(u), graph.NodeID(v), w)
+		})
+	}
+	return g
 }
 
 // BuildStats summarizes one builder's construction effort: the inputs the
@@ -56,7 +115,9 @@ type BuildStats struct {
 
 // NewBuilder creates an online TRG builder. Set trackPairs to also build
 // the Section 6 pair database (more expensive: O(k²) per activation in the
-// Q population k).
+// Q population k). Pair tracking covers the chunks of the popular
+// procedures, or every chunk when opts.Popular is nil; NewBuilder fails
+// when those exceed MaxPairChunks.
 func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder, error) {
 	opts.setDefaults()
 	if opts.CacheBytes <= 0 || opts.QFactor <= 0 {
@@ -69,18 +130,23 @@ func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder,
 	bound := opts.CacheBytes * opts.QFactor
 	b := &Builder{
 		prog:    prog,
-		opts:    opts,
 		chunker: chunker,
 		keep: func(p program.ProcID) bool {
 			return opts.Popular == nil || opts.Popular.Contains(p)
 		},
-		sel:    graph.New(),
-		place:  graph.New(),
-		qSel:   NewQueue(bound),
-		qPlace: NewQueue(bound),
+		sel:    newEdgeRows(prog.NumProcs()),
+		place:  newEdgeRows(chunker.NumChunks()),
+		qSel:   newDenseQueue(bound, prog.NumProcs()),
+		qPlace: newDenseQueue(bound, chunker.NumChunks()),
 	}
 	if trackPairs {
-		b.db = NewPairDB()
+		b.db, err = NewPairDB(chunker.NumChunks(), func(c BlockID) bool {
+			p, _ := chunker.Owner(program.ChunkID(c))
+			return b.keep(p)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%w (chunk size %d bytes)", err, opts.ChunkSize)
+		}
 	}
 	return b, nil
 }
@@ -98,10 +164,9 @@ func (b *Builder) Observe(e trace.Event) {
 	// Procedure granularity → TRG_select. Q is charged with the executed
 	// extent, the activation's cache footprint.
 	id := BlockID(p)
-	b.sel.AddNode(id)
-	b.qSel.Touch(id, ext, func(between BlockID) {
-		b.sel.Increment(id, between)
-	})
+	b.buf = b.qSel.between(id, b.buf[:0])
+	b.sel.record(id, b.buf)
+	b.qSel.touch(id, ext, b.events)
 	qLen := b.qSel.Len()
 	b.qLenSum += int64(qLen)
 	b.qSteps++
@@ -111,21 +176,23 @@ func (b *Builder) Observe(e trace.Event) {
 	b.qHist[telemetry.BucketIndex(int64(qLen))]++
 
 	// Chunk granularity → TRG_place (+ pair database).
-	n := program.CeilDiv(ext, b.chunker.ChunkSize())
-	first := b.chunker.FirstChunk(p)
+	cs, size := b.chunker.ChunkSize(), b.prog.Size(p)
+	n := program.CeilDiv(ext, cs)
+	first := BlockID(b.chunker.FirstChunk(p))
 	for i := 0; i < n; i++ {
-		c := first + program.ChunkID(i)
-		cid := BlockID(c)
-		b.place.AddNode(cid)
-		inc := func(between BlockID) { b.place.Increment(cid, between) }
+		cid := first + BlockID(i)
+		b.buf = b.qPlace.between(cid, b.buf[:0])
+		b.place.record(cid, b.buf)
 		if b.db != nil {
-			b.qPlace.TouchPairs(cid, b.chunker.ChunkBytes(c), inc,
-				func(r, s BlockID) { b.db.Add(cid, r, s) })
-		} else {
-			b.qPlace.Touch(cid, b.chunker.ChunkBytes(c), inc)
+			b.db.addBetween(cid, b.buf)
 		}
+		b.qPlace.touch(cid, chunkBytes(cs, size, i), b.events)
 	}
 }
+
+// chunkBytes is Chunker.ChunkBytes for chunk i of a procedure of the given
+// size, without the owner search: chunkSize except for a short last chunk.
+func chunkBytes(chunkSize, size, i int) int { return min(chunkSize, size-i*chunkSize) }
 
 // Warm feeds one activation through the Q structures only: queues advance
 // exactly as in Observe, but no nodes, edges, stats, or pairs are
@@ -141,45 +208,58 @@ func (b *Builder) Warm(e trace.Event) {
 		return
 	}
 	ext := e.ExtentBytes(b.prog)
-	b.qSel.Touch(BlockID(p), ext, nil)
-	n := program.CeilDiv(ext, b.chunker.ChunkSize())
-	first := b.chunker.FirstChunk(p)
-	for i := 0; i < n; i++ {
-		c := first + program.ChunkID(i)
-		b.qPlace.Touch(BlockID(c), b.chunker.ChunkBytes(c), nil)
+	b.qSel.touch(BlockID(p), ext, b.events)
+	cs, size := b.chunker.ChunkSize(), b.prog.Size(p)
+	first := BlockID(b.chunker.FirstChunk(p))
+	for i := 0; i < program.CeilDiv(ext, cs); i++ {
+		b.qPlace.touch(first+BlockID(i), chunkBytes(cs, size, i), b.events)
 	}
 }
 
-// qBound returns the configured Q size bound in bytes.
-func (b *Builder) qBound() int { return b.opts.CacheBytes * b.opts.QFactor }
-
 // resetQueues replaces both Q structures, either with the given seeds (a
-// snapshot of the serial Q state at some trace position) or, when nil,
-// with fresh empty queues. Graphs and stats are left untouched: a worker
-// in the sharded builder reuses one Builder across many shards, resetting
-// the position-dependent Q state per shard while the graphs accumulate.
-func (b *Builder) resetQueues(sel, place *Queue) {
+// copy of the serial Q state at some trace position) or, when nil, by
+// emptying them. Graphs and stats are left untouched: a worker in the
+// sharded builder reuses one Builder across many shards, resetting the
+// position-dependent Q state per shard while the graphs accumulate.
+func (b *Builder) resetQueues(sel, place *denseQueue) {
 	if sel == nil {
-		sel = NewQueue(b.qBound())
+		b.qSel.reset()
+	} else {
+		b.qSel = sel
 	}
 	if place == nil {
-		place = NewQueue(b.qBound())
+		b.qPlace.reset()
+	} else {
+		b.qPlace = place
 	}
-	b.qSel = sel
-	b.qPlace = place
+}
+
+// absorb folds another builder's graphs and statistics into b. Every sum
+// is commutative, so folding partial builders in any order gives the same
+// totals.
+func (b *Builder) absorb(o *Builder) {
+	b.sel.merge(&o.sel)
+	b.place.merge(&o.place)
+	b.events += o.events
+	b.qSteps += o.qSteps
+	b.qLenSum += o.qLenSum
+	b.maxQLen = max(b.maxQLen, o.maxQLen)
+	for i, v := range o.qHist {
+		b.qHist[i] += v
+	}
 }
 
 // Events returns the number of activations observed (after popularity
 // filtering).
 func (b *Builder) Events() int64 { return b.events }
 
-// Result snapshots the graphs built so far. The returned Result shares
-// storage with the builder; do not Observe afterwards unless the snapshot
-// is no longer needed.
+// Result freezes the graphs built so far into a new Result. The snapshot
+// is independent of the builder: later Observe calls do not change it, and
+// each call builds fresh graphs.
 func (b *Builder) Result() *Result {
 	res := &Result{
-		Select:  b.sel,
-		Place:   b.place,
+		Select:  b.sel.freeze(),
+		Place:   b.place.freeze(),
 		Chunker: b.chunker,
 	}
 	if b.qSteps > 0 {
@@ -200,4 +280,6 @@ func (b *Builder) BuildStats() BuildStats {
 }
 
 // Pairs returns the pair database, or nil if pair tracking was disabled.
+// The database is the builder's own: later Observe calls keep adding to
+// it.
 func (b *Builder) Pairs() *PairDB { return b.db }

@@ -5,158 +5,130 @@
 // set-associative extension (Section 6).
 package trg
 
-import "container/list"
-
 // BlockID is a code-block identifier at whatever granularity the caller
 // tracks (program.ProcID for TRG_select, program.ChunkID for TRG_place).
 type BlockID = int32
 
-type qEntry struct {
-	id   BlockID
-	size int
+// denseQueue is the ordered set Q of recently referenced code blocks over a
+// dense BlockID space [0, ids). Blocks are ordered oldest → newest through
+// array links; each block appears at most once; the total byte size of the
+// retained blocks is kept just above a bound (twice the cache size in the
+// paper) by evicting the oldest entries. It also records each member's
+// latest event index, which is all the sharded build's warm-up planner
+// needs.
+type denseQueue struct {
+	bound, totSize, count int
+	head, tail            int32 // block id, -1 when empty
+	next, prev            []int32
+	size                  []int // charged byte size per member
+	inQ                   []bool
+	last                  []int64 // event index of the member's latest touch
 }
 
-// Queue is the ordered set Q of recently referenced code blocks. Blocks are
-// ordered oldest → newest; each block appears at most once; the total byte
-// size of the retained blocks is kept just above a bound (twice the cache
-// size in the paper) by evicting the oldest entries.
-type Queue struct {
-	bound   int
-	ll      *list.List // of qEntry, front = oldest
-	byID    map[BlockID]*list.Element
-	totSize int
-}
-
-// NewQueue creates a Q with the given total-size bound in bytes.
-// The paper uses 2× the cache size (Section 3).
-func NewQueue(bound int) *Queue {
-	return &Queue{
-		bound: bound,
-		ll:    list.New(),
-		byID:  make(map[BlockID]*list.Element),
+func newDenseQueue(bound, ids int) *denseQueue {
+	return &denseQueue{
+		bound: bound, head: -1, tail: -1,
+		next: make([]int32, ids), prev: make([]int32, ids),
+		size: make([]int, ids), inQ: make([]bool, ids),
+		last: make([]int64, ids),
 	}
 }
 
 // Len returns the number of blocks currently in Q.
-func (q *Queue) Len() int { return q.ll.Len() }
+func (q *denseQueue) Len() int { return q.count }
 
-// TotalSize returns the summed byte size of the blocks in Q.
-func (q *Queue) TotalSize() int { return q.totSize }
-
-// Contains reports whether block id is in Q.
-func (q *Queue) Contains(id BlockID) bool {
-	_, ok := q.byID[id]
-	return ok
+// clone returns an independent copy of Q: same bound, same members in the
+// same order with the same charged sizes.
+func (q *denseQueue) clone() *denseQueue {
+	c := *q
+	c.next = append([]int32(nil), q.next...)
+	c.prev = append([]int32(nil), q.prev...)
+	c.size = append([]int(nil), q.size...)
+	c.inQ = append([]bool(nil), q.inQ...)
+	c.last = append([]int64(nil), q.last...)
+	return &c
 }
 
-// Front returns the oldest block in Q, or ok=false when Q is empty. Its
-// last reference is the oldest among all Q members, which is what the
-// sharded builder's warm-up planner needs: replaying the trace from that
-// reference reconstructs Q exactly.
-func (q *Queue) Front() (id BlockID, ok bool) {
-	e := q.ll.Front()
-	if e == nil {
-		return 0, false
+// reset empties Q in place, keeping its bound and id space.
+func (q *denseQueue) reset() {
+	clear(q.inQ)
+	q.head, q.tail, q.count, q.totSize = -1, -1, 0, 0
+}
+
+// between appends to buf, oldest first, the blocks that occur after the
+// previous reference to id — the blocks interleaved between two
+// consecutive references to id (Section 3). Nothing is appended when id is
+// not in Q.
+func (q *denseQueue) between(id BlockID, buf []BlockID) []BlockID {
+	if !q.inQ[id] {
+		return buf
 	}
-	return e.Value.(qEntry).id, true
-}
-
-// Clone returns an independent deep copy of Q: same bound, same members in
-// the same order with the same charged sizes. Touches on the copy do not
-// affect the original.
-func (q *Queue) Clone() *Queue {
-	c := NewQueue(q.bound)
-	for e := q.ll.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(qEntry)
-		c.byID[ent.id] = c.ll.PushBack(ent)
+	for b := q.next[id]; b >= 0; b = q.next[b] {
+		buf = append(buf, b)
 	}
-	c.totSize = q.totSize
-	return c
+	return buf
 }
 
-// Blocks returns the block IDs oldest-first; for tests and debugging.
-func (q *Queue) Blocks() []BlockID {
-	out := make([]BlockID, 0, q.ll.Len())
-	for e := q.ll.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(qEntry).id)
-	}
-	return out
-}
-
-// Touch processes the next trace reference to block id (of the given byte
-// size) per Section 3:
-//
-//  1. If a previous reference to id is in Q, fn is invoked once for every
-//     block that occurs after it (the blocks interleaved between the two
-//     consecutive references to id); the previous entry is then removed.
-//  2. id is appended at the newest end.
-//  3. The oldest members are evicted while removal keeps the total size of
-//     the remaining blocks at or above the bound.
-//
-// fn may be nil when the caller only wants Q maintenance.
-func (q *Queue) Touch(id BlockID, size int, fn func(between BlockID)) {
-	if prev, ok := q.byID[id]; ok {
-		if fn != nil {
-			for e := prev.Next(); e != nil; e = e.Next() {
-				fn(e.Value.(qEntry).id)
-			}
+// touch processes the next trace reference to block id (of the given byte
+// size), made at event index idx, per Section 3: any previous occurrence
+// of id is removed, id is appended at the newest end, and the oldest
+// members are evicted while removal keeps the total size of the remaining
+// blocks at or above the bound. ("We remove the oldest members of Q until
+// the removal of the next least-recently-used identifier would cause the
+// total size of remaining code blocks in Q to be less than twice the cache
+// size.") A single member is never evicted, however large.
+func (q *denseQueue) touch(id BlockID, sz int, idx int64) {
+	if q.inQ[id] {
+		p, n := q.prev[id], q.next[id]
+		if p >= 0 {
+			q.next[p] = n
+		} else {
+			q.head = n
 		}
-		q.totSize -= prev.Value.(qEntry).size
-		q.ll.Remove(prev)
-		delete(q.byID, id)
-	}
-	q.byID[id] = q.ll.PushBack(qEntry{id: id, size: size})
-	q.totSize += size
-	q.evict()
-}
-
-// TouchPairs is Touch for the set-associative extension: pairFn receives
-// every unordered pair {r,s} of distinct blocks occurring between the two
-// consecutive references to id (Section 6: "we associate p with all possible
-// selections of two identifiers from the identifiers currently in Q, up to
-// any previous occurrence of p"). fn, if non-nil, still receives each single
-// intervening block, allowing one pass to feed both the 1-way TRG and the
-// pair database.
-func (q *Queue) TouchPairs(id BlockID, size int, fn func(between BlockID), pairFn func(r, s BlockID)) {
-	if prev, ok := q.byID[id]; ok {
-		var between []BlockID
-		for e := prev.Next(); e != nil; e = e.Next() {
-			b := e.Value.(qEntry).id
-			if fn != nil {
-				fn(b)
-			}
-			between = append(between, b)
+		if n >= 0 {
+			q.prev[n] = p
+		} else {
+			q.tail = p
 		}
-		if pairFn != nil {
-			for i := 0; i < len(between); i++ {
-				for j := i + 1; j < len(between); j++ {
-					pairFn(between[i], between[j])
-				}
-			}
-		}
-		q.totSize -= prev.Value.(qEntry).size
-		q.ll.Remove(prev)
-		delete(q.byID, id)
+		q.totSize -= q.size[id]
+		q.count--
 	}
-	q.byID[id] = q.ll.PushBack(qEntry{id: id, size: size})
-	q.totSize += size
-	q.evict()
-}
-
-// evict removes the oldest entries while doing so leaves the total size of
-// the remaining blocks at or above the bound. ("We remove the oldest members
-// of Q until the removal of the next least-recently-used identifier would
-// cause the total size of remaining code blocks in Q to be less than twice
-// the cache size.")
-func (q *Queue) evict() {
-	for q.ll.Len() > 1 {
-		oldest := q.ll.Front()
-		sz := oldest.Value.(qEntry).size
-		if q.totSize-sz < q.bound {
+	q.prev[id], q.next[id] = q.tail, -1
+	if q.tail >= 0 {
+		q.next[q.tail] = id
+	} else {
+		q.head = id
+	}
+	q.tail = id
+	q.inQ[id] = true
+	q.size[id] = sz
+	q.last[id] = idx
+	q.totSize += sz
+	q.count++
+	for q.count > 1 {
+		h := q.head
+		hs := q.size[h]
+		if q.totSize-hs < q.bound {
 			return
 		}
-		q.totSize -= sz
-		delete(q.byID, oldest.Value.(qEntry).id)
-		q.ll.Remove(oldest)
+		q.totSize -= hs
+		q.inQ[h] = false
+		n := q.next[h]
+		q.head = n
+		if n >= 0 {
+			q.prev[n] = -1
+		} else {
+			q.tail = -1
+		}
+		q.count--
 	}
+}
+
+// frontLast returns the latest-touch event index of the oldest member.
+// Replaying the trace from that reference reconstructs Q exactly.
+func (q *denseQueue) frontLast() (int64, bool) {
+	if q.head < 0 {
+		return 0, false
+	}
+	return q.last[q.head], true
 }

@@ -27,8 +27,9 @@ package trg
 // When the required overlap reaches further back than the retained window
 // (a program whose popular footprint never fills Q, so some member's last
 // reference is arbitrarily old), the coordinator falls back to handing the
-// shard a snapshot (Clone) of its own queues — equally exact, still O(|Q|),
-// and keeps memory bounded for the streaming entry point.
+// shard a copy of its own dense queues — equally exact, linear in the
+// block-id space rather than the trace, and keeps memory bounded for the
+// streaming entry point.
 
 import (
 	"fmt"
@@ -36,7 +37,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -123,103 +123,6 @@ func BuildStream(prog *program.Program, r *trace.Reader, opts Options, so ShardO
 	return buildShardedCore(prog, opts, src, so.Workers, so.Telemetry)
 }
 
-// denseQueue mirrors Queue's exact membership, order, eviction rule, and
-// charged sizes over a dense BlockID space using flat arrays instead of a
-// container/list plus hash map. The coordinator's scan is the serial
-// (Amdahl) term of the sharded build — every event passes through it once
-// before any worker can own it — so its per-touch cost bounds the achievable
-// speedup; array links make it several times cheaper than the builders'
-// general-purpose Queue. It additionally records each member's latest event
-// index, which is all the warm-up planner needs.
-type denseQueue struct {
-	bound, totSize, count int
-	head, tail            int32 // block id, -1 when empty
-	next, prev            []int32
-	size                  []int32
-	inQ                   []bool
-	last                  []int64 // event index of the member's latest touch
-}
-
-func newDenseQueue(bound, ids int) *denseQueue {
-	return &denseQueue{
-		bound: bound, head: -1, tail: -1,
-		next: make([]int32, ids), prev: make([]int32, ids),
-		size: make([]int32, ids), inQ: make([]bool, ids),
-		last: make([]int64, ids),
-	}
-}
-
-// touch is Queue.Touch without the interleaving callback: unlink any
-// previous occurrence, append at the newest end, evict the oldest while
-// removal keeps the retained total at or above the bound.
-func (q *denseQueue) touch(id BlockID, sz int, idx int64) {
-	if q.inQ[id] {
-		p, n := q.prev[id], q.next[id]
-		if p >= 0 {
-			q.next[p] = n
-		} else {
-			q.head = n
-		}
-		if n >= 0 {
-			q.prev[n] = p
-		} else {
-			q.tail = p
-		}
-		q.totSize -= int(q.size[id])
-		q.count--
-	}
-	q.prev[id], q.next[id] = q.tail, -1
-	if q.tail >= 0 {
-		q.next[q.tail] = id
-	} else {
-		q.head = id
-	}
-	q.tail = id
-	q.inQ[id] = true
-	q.size[id] = int32(sz)
-	q.last[id] = idx
-	q.totSize += sz
-	q.count++
-	for q.count > 1 {
-		h := q.head
-		hs := int(q.size[h])
-		if q.totSize-hs < q.bound {
-			return
-		}
-		q.totSize -= hs
-		q.inQ[h] = false
-		n := q.next[h]
-		q.head = n
-		if n >= 0 {
-			q.prev[n] = -1
-		} else {
-			q.tail = -1
-		}
-		q.count--
-	}
-}
-
-// frontLast returns the latest-touch event index of the oldest member.
-func (q *denseQueue) frontLast() (int64, bool) {
-	if q.head < 0 {
-		return 0, false
-	}
-	return q.last[q.head], true
-}
-
-// toQueue converts the dense state into the builders' Queue representation
-// for snapshot seeding. Replaying the members oldest→newest with their
-// charged sizes cannot evict: every intermediate total is at most the final
-// total, and the final state satisfies totSize-size[head] < bound (or holds
-// a single member), so each intermediate state does too.
-func (q *denseQueue) toQueue() *Queue {
-	c := NewQueue(q.bound)
-	for id := q.head; id >= 0; id = q.next[id] {
-		c.Touch(id, int(q.size[id]), nil)
-	}
-	return c
-}
-
 // tracker is the coordinator's lightweight mirror of the builder's Q
 // discipline: it advances both queues exactly as Builder.Observe/Warm do.
 // It records no nodes, edges, or stats.
@@ -260,11 +163,10 @@ func (t *tracker) observe(idx int64, e trace.Event) {
 	}
 	ext := e.ExtentBytes(t.prog)
 	t.qSel.touch(BlockID(p), ext, idx)
-	n := program.CeilDiv(ext, t.chunker.ChunkSize())
-	first := t.chunker.FirstChunk(p)
-	for i := 0; i < n; i++ {
-		c := first + program.ChunkID(i)
-		t.qPlace.touch(BlockID(c), t.chunker.ChunkBytes(c), idx)
+	cs, size := t.chunker.ChunkSize(), t.prog.Size(p)
+	first := BlockID(t.chunker.FirstChunk(p))
+	for i := 0; i < program.CeilDiv(ext, cs); i++ {
+		t.qPlace.touch(first+BlockID(i), chunkBytes(cs, size, i), idx)
 	}
 }
 
@@ -291,8 +193,8 @@ func (t *tracker) warmStart(cur int64) int64 {
 // (shard 0, or a boundary where both queues happen to be empty).
 type shardJob struct {
 	warm      []trace.Event
-	seedSel   *Queue
-	seedPlace *Queue
+	seedSel   *denseQueue
+	seedPlace *denseQueue
 	body      []trace.Event
 }
 
@@ -368,8 +270,8 @@ func buildShardedCore(prog *program.Program, opts Options, src func() ([]trace.E
 		default:
 			// The overlap reaches beyond the retained window: seed the
 			// shard with a snapshot of the serial Q state instead.
-			job.seedSel = trk.qSel.toQueue()
-			job.seedPlace = trk.qPlace.toQueue()
+			job.seedSel = trk.qSel.clone()
+			job.seedPlace = trk.qPlace.clone()
 			seedFallbacks++
 		}
 		jobs <- job
@@ -387,40 +289,20 @@ func buildShardedCore(prog *program.Program, opts Options, src func() ([]trace.E
 	}
 
 	// Merge the per-worker partials. Each trace event was Observed by
-	// exactly one worker, so node sets union and edge weights, event
+	// exactly one worker, so node sets union and row counts, event
 	// counts, Q-occupancy sums and histogram buckets add; the high-water
 	// mark folds with max. All commutative: any worker count and any
 	// schedule produce identical merged output.
-	res := &Result{
-		Select:  graph.New(),
-		Place:   graph.New(),
-		Chunker: builders[0].chunker,
+	merged := builders[0]
+	for _, b := range builders[1:] {
+		merged.absorb(b)
 	}
-	var stats BuildStats
-	var merges int64
-	for _, b := range builders {
-		res.Select.AddGraph(b.sel)
-		res.Place.AddGraph(b.place)
-		bs := b.BuildStats()
-		stats.Events += bs.Events
-		stats.QSteps += bs.QSteps
-		stats.QLenSum += bs.QLenSum
-		if bs.MaxQLen > stats.MaxQLen {
-			stats.MaxQLen = bs.MaxQLen
-		}
-		for i, v := range bs.QLenHist {
-			stats.QLenHist[i] += v
-		}
-		merges++
-	}
-	if stats.QSteps > 0 {
-		res.AvgQProcs = float64(stats.QLenSum) / float64(stats.QSteps)
-	}
+	merges := int64(len(builders))
 
 	tel.Add("trg/shard_events", pos)
 	tel.Add("trg/shard_count", shards)
 	tel.Add("trg/shard_overlap_events", overlapEvents)
 	tel.Add("trg/shard_seed_fallbacks", seedFallbacks)
 	tel.Add("trg/shard_merges", merges)
-	return res, stats, nil
+	return merged.Result(), merged.BuildStats(), nil
 }

@@ -1,6 +1,7 @@
 package trg
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cache"
@@ -36,4 +37,21 @@ func BenchmarkShardCoordinatorScan(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkQueueTouch times the Q maintenance hot path.
+func BenchmarkQueueTouch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]BlockID, 4096)
+	sizes := make([]int, 4096)
+	for i := range ids {
+		ids[i] = BlockID(rng.Intn(500))
+		sizes[i] = rng.Intn(2000) + 64
+	}
+	q := newDenseQueue(16384, 500)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(ids)
+		q.touch(ids[j], sizes[j], int64(i))
+	}
 }

@@ -16,7 +16,7 @@ import (
 // nothing, and it must compose with resetQueues the way the shard workers
 // rely on.
 
-func queueState(q *Queue) ([]BlockID, int) { return q.Blocks(), q.TotalSize() }
+func queueState(q *denseQueue) ([]BlockID, int) { return q.blocks(), q.TotalSize() }
 
 // Warming a prefix leaves qSel/qPlace byte-equal to observing the same
 // prefix, with no graphs, events, or stats recorded.
@@ -160,7 +160,7 @@ func TestWarmResetQueuesInteraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeded.Observe(trace.Event{Proc: 0})
-	b.resetQueues(seeded.qSel.Clone(), seeded.qPlace.Clone())
+	b.resetQueues(seeded.qSel.clone(), seeded.qPlace.clone())
 	viaClone, sizeClone := queueState(b.qSel)
 
 	b.resetQueues(nil, nil)
@@ -204,7 +204,7 @@ func TestWarmPrefixEquivalentToQueueSeeding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeded.resetQueues(full.qSel.Clone(), full.qPlace.Clone())
+		seeded.resetQueues(full.qSel.clone(), full.qPlace.clone())
 		for _, e := range tr.Events[cut:] {
 			seeded.Observe(e)
 		}
