@@ -49,7 +49,7 @@ bench:
 # the perf trajectory is tracked per change. Override BENCHTIME (e.g.
 # BENCHTIME=1x in CI) to trade precision for speed.
 BENCHTIME ?= 1s
-GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
+GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkPlaceAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
 
 # TRG ingest throughput (BENCH_trg.json): serial vs sharded build in
 # events/sec on the paper-scale vortex trace, plus the sequential

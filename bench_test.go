@@ -341,7 +341,7 @@ func BenchmarkBestAlignment(b *testing.B) {
 }
 
 // BenchmarkBestAlignmentAssoc times one Section 6 set-associative
-// alignment search over the pair database with the buffered scorer.
+// alignment search over the pair database with the edge-driven engine.
 func BenchmarkBestAlignmentAssoc(b *testing.B) {
 	pair := tracegen.Lookup(tracegen.Suite(0.1), "perl")
 	tr := pair.Bench.Trace(pair.Train)
@@ -364,6 +364,28 @@ func BenchmarkBestAlignmentAssoc(b *testing.B) {
 		sink += search()
 	}
 	_ = sink
+}
+
+// BenchmarkPlaceAssoc times one whole Section 6 placement (merge loop with
+// the pair-database alignment searches, then linearization) on gcc's
+// training trace at scale 0.05 for an 8 KB 2-way cache: the configuration
+// where cmd/layout -alg gbsc2 spends its time.
+func BenchmarkPlaceAssoc(b *testing.B) {
+	pair := tracegen.Lookup(tracegen.Suite(0.05), "gcc")
+	prog := pair.Bench.Prog
+	tr := pair.Bench.Trace(pair.Train)
+	pop := popular.Select(prog, tr, popular.Options{})
+	cfg := cache.Config{SizeBytes: cache.PaperConfig.SizeBytes, LineBytes: cache.PaperConfig.LineBytes, Assoc: 2}
+	res, db, err := trg.BuildPairs(prog, tr, trg.Options{CacheBytes: cfg.SizeBytes, Popular: pop})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.PlaceAssoc(prog, res, db, pop, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkTRGBuild times TRG_select/TRG_place construction per trace event.

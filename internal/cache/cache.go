@@ -331,28 +331,6 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 	return s.RunCompiled(s.memo, layout)
 }
 
-// runTraceOracle is the original general replay loop, retained verbatim as
-// the reference implementation the compiled engine is differentially
-// tested against: every activation expands its repeat count into
-// individual Access calls.
-func (s *Sim) runTraceOracle(layout *program.Layout, tr *trace.Trace) Stats {
-	s.Reset()
-	prog := layout.Program()
-	lb := s.lineBytes
-	for _, e := range tr.Events {
-		base := int64(layout.Addr(e.Proc))
-		ext := int64(e.ExtentBytes(prog))
-		first := base / lb
-		last := (base + ext - 1) / lb
-		for r := e.Repeats(); r > 0; r-- {
-			for ln := first; ln <= last; ln++ {
-				s.Access(ln * lb)
-			}
-		}
-	}
-	return s.stats
-}
-
 // RunCompiled resets the simulator and replays the compiled trace placed
 // by layout, returning the resulting statistics — byte-identical to
 // RunTrace on the source trace (same reference stream, same cold/conflict

@@ -94,49 +94,6 @@ func RunTraceClassified(cfg Config, layout *program.Layout, tr *trace.Trace) (Cl
 	return cs, err
 }
 
-// runTraceClassifiedOracle is the original classification loop, retained
-// verbatim as the reference the compiled engine is differentially tested
-// against.
-func runTraceClassifiedOracle(cfg Config, layout *program.Layout, tr *trace.Trace) (ClassifiedStats, error) {
-	sim, err := NewSim(cfg)
-	if err != nil {
-		return ClassifiedStats{}, err
-	}
-	prog := layout.Program()
-	cs := ClassifiedStats{PerProc: make([]int64, prog.NumProcs())}
-	shadow := newFullyAssoc(cfg.NumLines())
-	seen := make(map[int64]bool)
-
-	lb := int64(cfg.LineBytes)
-	for _, e := range tr.Events {
-		base := int64(layout.Addr(e.Proc))
-		ext := int64(e.ExtentBytes(prog))
-		first := base / lb
-		last := (base + ext - 1) / lb
-		for r := e.Repeats(); r > 0; r-- {
-			for ln := first; ln <= last; ln++ {
-				faHit := shadow.access(ln)
-				hit := sim.Access(ln * lb)
-				if hit {
-					continue
-				}
-				cs.PerProc[e.Proc]++
-				switch {
-				case !seen[ln]:
-					cs.Cold++
-					seen[ln] = true
-				case faHit:
-					cs.Conflict++
-				default:
-					cs.Capacity++
-				}
-			}
-		}
-	}
-	cs.Stats = sim.Stats()
-	return cs, nil
-}
-
 // RunCompiledClassified replays a precompiled trace with miss
 // classification, returning the classified statistics (byte-identical to
 // RunTraceClassified on the source trace) plus the replay engine counters.

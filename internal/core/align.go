@@ -6,16 +6,17 @@ import (
 	"repro/internal/trg"
 )
 
-// This file holds the fast alignment engines behind the GBSC merge loop.
-// The naive scorers in merge.go rebuild both nodes' line occupancy from the
-// chunker and walk all C² line pairs with map lookups on every merge,
-// costing O(C²·occ²) per alignment search; they are retained as reference
-// oracles. The engines here keep each working node's chunk→line assignment
-// incrementally up to date across shift/absorb and score alignments by
-// iterating only the TRG_place cross-edges between the two nodes into a
-// reusable cost buffer (cost[(l1-l2) mod C] += w), so a direct-mapped
-// search costs O(cross-degree + C) slice walks instead. Differential tests
-// (differential_test.go) prove the engines byte-identical to the oracles.
+// This file holds the alignment engines behind the GBSC merge loop. The
+// naive scorers (bestAlignment and bestAlignmentAssoc, in the package's
+// tests) rebuild both nodes' line occupancy from the chunker and walk all
+// C² line or set pairs on every merge. The engines here keep each working
+// node's chunk→line assignment incrementally up to date across
+// shift/absorb and score alignments from the weights that can reach the
+// cost vector: directEngine iterates the TRG_place cross-edges between the
+// two nodes (cost[(l1-l2) mod C] += w), and assocEngine iterates the pair
+// database rows of the two nodes' chunks. A search costs a walk of those
+// entries plus O(C), not O(C²). Differential tests (differential_test.go)
+// prove the engines byte-identical to the oracles.
 
 // alignEngine is the per-run alignment scorer driven by assign: addNode
 // seeds the incremental occupancy state for one popular procedure, best
@@ -40,8 +41,9 @@ type occState struct {
 	chunker   *program.Chunker
 	// owner maps each chunk to the working node currently holding it, or
 	// -1. chunkLines holds the cache lines (node-relative, canonicalized to
-	// [0, period)) each chunk occupies — a multiset mirroring the oracle's
-	// occupancy() entries, one line per cache line of the owning procedure.
+	// [0, period)) each chunk occupies, one line per cache line of the
+	// owning procedure: a run of consecutive lines modulo the period, which
+	// repeats lines only when the chunk is longer than the period.
 	owner      []graph.NodeID
 	chunkLines [][]int32
 	// nodeChunks lists each working node's distinct chunks in absorption
@@ -68,7 +70,8 @@ func newOccState(prog *program.Program, chunker *program.Chunker, lineBytes, per
 
 // addNode seeds the state for a fresh single-procedure node at offset 0:
 // line i of procedure p (mod period, for procedures larger than the cache)
-// holds the chunk covering byte i*lineBytes, exactly as occupancy() derives.
+// holds the chunk covering byte i*lineBytes, as the oracles' occupancy
+// rebuild derives.
 func (s *occState) addNode(id graph.NodeID, p program.ProcID) {
 	lines := s.prog.SizeLines(p, s.lineBytes)
 	var chunks []program.ChunkID
@@ -216,8 +219,8 @@ type directEngine struct {
 	// later revalidation can re-score the step as stored vector + current
 	// overlay without walking the base CSR at all.
 	lastBase []int64
-	// d2 is the second-difference scratch buffer of accumulateRuns.
-	d2 []int64
+	// conv is the trapezoid scratch buffer of accumulateRuns.
+	conv runConv
 	// lastMargin is how far the runner-up cost of the latest bestOffset
 	// call was above the winner (maxMargin when there is no runner-up).
 	// The merge recorder logs it: a place delta whose bounded cost
@@ -319,22 +322,13 @@ func (e *directEngine) rescore(base []int64, u, v graph.NodeID) (int, int64) {
 }
 
 // accumulateRuns adds the same cross-edge contributions as accumulateCSR
-// but in O(edges + period) instead of O(Σ p·q) line pairs. It exploits
-// the chunk-line geometry: a chunk's lines are a consecutive run modulo
-// the period (addNode seeds ls[j] = (ls[0]+j) mod period and merged only
-// rotates the run), so one edge's contribution to the cost vector is the
-// circular convolution of two interval indicators — a trapezoid. Each
-// trapezoid is four impulses on a second-difference buffer; integrating
-// the buffer twice at the end materializes all of them at once. The sums
-// are exact int64, so the result is byte-identical to accumulateCSR's.
+// but in O(edges + period) instead of O(Σ p·q) line pairs: one edge's
+// contribution is the circular convolution of its two chunks' line runs,
+// drawn as a trapezoid by runConv. The sums are exact int64, so the result
+// is byte-identical to accumulateCSR's.
 func (e *directEngine) accumulateRuns(csr *placeCSR, costs []int64, from []program.ChunkID, other graph.NodeID, fromIsV bool) {
 	P := e.period
-	if len(e.d2) < 2*P {
-		e.d2 = make([]int64, 2*P)
-	}
-	d2 := e.d2[:2*P]
-	clear(d2)
-	touched := false
+	e.conv.reset(P)
 	for _, c := range from {
 		lo, hi := csr.nbrOff[c], csr.nbrOff[c+1]
 		for k := lo; k < hi; k++ {
@@ -366,37 +360,63 @@ func (e *directEngine) accumulateRuns(csr *placeCSR, costs []int64, from []progr
 			}
 			// The cost index is (u-side line − v-side line) mod period; over
 			// two runs the differences cover a length p+q-1 window whose
-			// linear start is below. Impulses land in [0, 2P) because the
-			// start is normalized to [0, P) and p+q ≤ P.
-			var s int
+			// linear start is below.
 			if fromIsV {
-				s = int(farLines[0]) - int(nearLines[0]) - (p - 1)
+				e.conv.add(int(farLines[0])-int(nearLines[0])-(p-1), p, q, P, w)
 			} else {
-				s = int(nearLines[0]) - int(farLines[0]) - (q - 1)
+				e.conv.add(int(nearLines[0])-int(farLines[0])-(q-1), p, q, P, w)
 			}
-			s0 := mod(s, P)
-			d2[s0] += w
-			d2[s0+p] -= w
-			d2[s0+q] -= w
-			d2[s0+p+q] += w
-			touched = true
 		}
 	}
-	if !touched {
-		return
+	e.conv.flush(costs)
+}
+
+// runConv draws circular convolutions of line runs onto a cost vector. A
+// chunk's lines are a consecutive run modulo the period (addNode seeds
+// ls[j] = (ls[0]+j) mod period and merged only rotates the run), so the
+// line differences between a run of p lines and a run of q lines, with
+// p+q ≤ period, count as a trapezoid over a window of p+q-1 offsets. Each
+// trapezoid is four impulses on a second-difference buffer; integrating
+// the buffer twice at the end materializes all of them at once.
+type runConv struct {
+	d2 []int64
+}
+
+// reset clears the buffer for a new cost vector over period P.
+func (r *runConv) reset(P int) {
+	if len(r.d2) < 2*P {
+		r.d2 = make([]int64, 2*P)
 	}
-	// Double prefix sum turns the impulses into the summed trapezoids; the
-	// four impulses of each edge telescope to zero past its window, so the
-	// running values are exactly the per-index contributions. Fold the
-	// second period back onto the first.
+	r.d2 = r.d2[:2*P]
+	clear(r.d2)
+}
+
+// add draws w times the convolution of a p-line run and a q-line run whose
+// differences start at offset s (any integer; p+q ≤ P). The impulses land
+// in [0, 2P) because the start is normalized to [0, P).
+func (r *runConv) add(s, p, q, P int, w int64) {
+	s0 := mod(s, P)
+	r.d2[s0] += w
+	r.d2[s0+p] -= w
+	r.d2[s0+q] -= w
+	r.d2[s0+p+q] += w
+}
+
+// flush adds every drawn trapezoid into costs. The double prefix sum
+// turns the impulses into the summed trapezoids; the four impulses of each
+// telescope to zero past its window, so the running values are exactly
+// the per-offset contributions. The second period folds back onto the
+// first.
+func (r *runConv) flush(costs []int64) {
+	P := len(costs)
 	var d1, t int64
 	for i := 0; i < P; i++ {
-		d1 += d2[i]
+		d1 += r.d2[i]
 		t += d1
 		costs[i] += t
 	}
 	for i := P; i < 2*P; i++ {
-		d1 += d2[i]
+		d1 += r.d2[i]
 		t += d1
 		costs[i-P] += t
 	}
@@ -434,66 +454,149 @@ func (e *directEngine) accumulateCSR(csr *placeCSR, costs []int64, from []progra
 	}
 }
 
-// assocEngine is the Section 6 set-associative scorer with the same
-// incremental occupancy and buffer reuse: the per-merge occupancy arrays
-// are filled from the engine's chunk→line state (no chunker rebuild) and
-// the cost and occupancy buffers are reused across merges. The C² set-pair
-// triple charging of bestAlignmentAssoc is kept verbatim — the pair
-// database semantics need every co-resident set pair.
+// assocEngine is the Section 6 set-associative scorer. The oracle charges
+// D(p,{r,s}) once for every set that holds a line of each of p, r and s,
+// where r and s are distinct chunks other than p and the pair has at
+// least one member in the node opposite p. Offset i therefore costs
+//
+//	Σ D(p,{x,y}) · #{(l_p, l_x, l_y) : the three lines share a set at i}
+//
+// summed over the entries whose three chunks are distinct, all owned by u
+// or v, and not all in one node. Such a triple has two chunks in one node,
+// whose lines do not move with the offset, and one chunk alone in the
+// other. The two fixed runs meet in at most one run of sets, and that
+// overlap convolved with the lone chunk's run is the same trapezoid
+// directEngine draws. The engine walks the pair database rows of both
+// nodes' chunks, keeps the entries that qualify, and adds each trapezoid
+// into a runConv; runs that wrap the period fall back to an exact nested
+// loop. The sums are exact int64, so the cost vector equals the oracle's
+// and so does its first minimum.
 type assocEngine struct {
 	occState
-	db         *trg.PairDB
-	occ1, occ2 lineOccupancy
-	costs      []int64
+	db    *trg.PairDB
+	costs []int64
+	conv  runConv
 }
 
 func newAssocEngine(prog *program.Program, db *trg.PairDB, chunker *program.Chunker, lineBytes, period int) *assocEngine {
 	return &assocEngine{
 		occState: newOccState(prog, chunker, lineBytes, period),
 		db:       db,
-		occ1:     make(lineOccupancy, period),
-		occ2:     make(lineOccupancy, period),
 		costs:    make([]int64, period),
 	}
 }
 
 func (e *assocEngine) crossEdgesScanned() int64 { return 0 }
 
-// fillOcc rebuilds a scratch occupancy array from the incremental state,
-// truncating (capacity-preserving) before refilling.
-func (e *assocEngine) fillOcc(occ lineOccupancy, id graph.NodeID) {
-	for i := range occ {
-		occ[i] = occ[i][:0]
+func (e *assocEngine) bestOffset(u, v graph.NodeID) int {
+	e.scoreOffsets(u, v)
+	best, _ := argminMargin(e.costs)
+	return best
+}
+
+// scoreOffsets fills e.costs with the cost of every offset of v against u.
+func (e *assocEngine) scoreOffsets(u, v graph.NodeID) {
+	clear(e.costs)
+	e.conv.reset(e.period)
+	for _, p := range e.nodeChunks[u] {
+		e.chargeRow(p, u, u, v)
 	}
-	for _, c := range e.nodeChunks[id] {
-		for _, l := range e.chunkLines[c] {
-			occ[l] = append(occ[l], c)
+	for _, p := range e.nodeChunks[v] {
+		e.chargeRow(p, v, u, v)
+	}
+	e.conv.flush(e.costs)
+}
+
+// chargeRow charges the qualifying entries of p's pair database row; op is
+// the node holding p.
+func (e *assocEngine) chargeRow(p program.ChunkID, op, u, v graph.NodeID) {
+	e.db.Row(trg.BlockID(p)).Each(func(a, b trg.BlockID, n int64) {
+		x, y := program.ChunkID(a), program.ChunkID(b)
+		if x == p || y == p || x == y {
+			return
+		}
+		ox, oy := e.ownerOf(x), e.ownerOf(y)
+		if (ox != u && ox != v) || (oy != u && oy != v) || (ox == op && oy == op) {
+			return
+		}
+		// Exactly one of the three chunks is alone in its node.
+		switch {
+		case ox == oy:
+			e.charge(x, y, p, op == u, n)
+		case ox == op:
+			e.charge(p, x, y, oy == u, n)
+		default:
+			e.charge(p, y, x, ox == u, n)
+		}
+	})
+}
+
+// ownerOf is the working node holding chunk c, or -1 (also for ids past
+// the chunker's range, which a pair database may cover).
+func (e *assocEngine) ownerOf(c program.ChunkID) graph.NodeID {
+	if uint(c) >= uint(len(e.owner)) {
+		return -1
+	}
+	return e.owner[c]
+}
+
+// charge adds w to the cost of every offset once per line triple of a and
+// b (both in one node) and c (alone in the other) that shares a set there;
+// cIsU says whether c sits in the fixed node u. The cost index is always
+// (u-side line − v-side line) mod period.
+func (e *assocEngine) charge(a, b, c program.ChunkID, cIsU bool, w int64) {
+	P := e.period
+	A, B, C := e.chunkLines[a], e.chunkLines[b], e.chunkLines[c]
+	if len(A)+len(B) > P {
+		// Runs this long can meet in two places or repeat a set.
+		for _, la := range A {
+			for _, lb := range B {
+				if la == lb {
+					e.chargeLine(int(la), C, cIsU, w)
+				}
+			}
+		}
+		return
+	}
+	o, lo := runOverlap(int(A[0]), len(A), int(B[0]), len(B), P)
+	if lo == 0 {
+		return
+	}
+	lc := len(C)
+	if lo+lc > P {
+		for k := 0; k < lo; k++ {
+			e.chargeLine((o+k)%P, C, cIsU, w)
+		}
+		return
+	}
+	if cIsU {
+		e.conv.add(int(C[0])-o-(lo-1), lc, lo, P, w)
+	} else {
+		e.conv.add(o-int(C[0])-(lc-1), lo, lc, P, w)
+	}
+}
+
+// chargeLine adds w for line l of the fixed pair against every line of c.
+func (e *assocEngine) chargeLine(l int, C []int32, cIsU bool, w int64) {
+	for _, lc := range C {
+		if cIsU {
+			e.costs[mod(int(lc)-l, e.period)] += w
+		} else {
+			e.costs[mod(l-int(lc), e.period)] += w
 		}
 	}
 }
 
-func (e *assocEngine) bestOffset(u, v graph.NodeID) int {
-	e.fillOcc(e.occ1, u)
-	e.fillOcc(e.occ2, v)
-	costs := e.costs
-	for i := 0; i < e.period; i++ {
-		var total int64
-		for j := 0; j < e.period; j++ {
-			a := e.occ1[mod(j+i, e.period)]
-			b := e.occ2[j]
-			if len(a) == 0 || len(b) == 0 {
-				continue
-			}
-			total += assocSetCost(a, b, e.db)
-			total += assocSetCost(b, a, e.db)
-		}
-		costs[i] = total
+// runOverlap intersects the circular runs [a, a+la) and [b, b+lb) modulo
+// P, returning the start and length of the intersection (length 0 when
+// they are disjoint). With la+lb ≤ P the intersection is a single run.
+func runOverlap(a, la, b, lb, P int) (start, n int) {
+	d := mod(b-a, P)
+	switch {
+	case d < la:
+		return b, min(la-d, lb)
+	case d+lb > P:
+		return a, min(d+lb-P, la)
 	}
-	best, bestCost := 0, costs[0]
-	for i := 1; i < e.period; i++ {
-		if costs[i] < bestCost {
-			best, bestCost = i, costs[i]
-		}
-	}
-	return best
+	return 0, 0
 }

@@ -30,7 +30,7 @@ func NewAlignmentBench(prog *program.Program, res *trg.Result, pop *popular.Set,
 }
 
 // NewAlignmentAssocBench prepares one Section 6 set-associative alignment
-// search over the buffered assoc engine for benchmarking.
+// search over the edge-driven assoc engine for benchmarking.
 func NewAlignmentAssocBench(prog *program.Program, res *trg.Result, db *trg.PairDB, pop *popular.Set, cfg cache.Config) (func() int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -194,33 +195,142 @@ func TestDifferentialPageAware(t *testing.T) {
 	}
 }
 
+// checkAssocEngine runs the merge loop with the set-associative engine and,
+// at every merge, compares the engine's full cost vector and chosen offset
+// with the oracle's on the same node states. Edges are selected by the
+// scan oracle, so the returned tuples are the oracle run's.
+func checkAssocEngine(tb testing.TB, label string, prog *program.Program, res *trg.Result, db *trg.PairDB, pop *popular.Set, cfg cache.Config) []place.Placed {
+	tb.Helper()
+	period := cfg.NumSets()
+	eng := newAssocEngine(prog, db, res.Chunker, cfg.LineBytes, period)
+	working, nodes, err := initAssign(res.Select, pop, eng)
+	if err != nil {
+		tb.Fatalf("%s: %v", label, err)
+	}
+	for step := 0; ; step++ {
+		e, ok := scanHeaviest(working)
+		if !ok {
+			break
+		}
+		n1, n2 := nodes[e.U], nodes[e.V]
+		want := assocCosts(n1, n2, db, res.Chunker, prog, cfg.LineBytes, period)
+		eng.scoreOffsets(e.U, e.V)
+		if !slices.Equal(eng.costs, want) {
+			tb.Fatalf("%s step %d: engine costs %v, oracle %v", label, step, eng.costs, want)
+		}
+		off := eng.bestOffset(e.U, e.V)
+		if wantOff := firstMin(want); off != wantOff {
+			tb.Fatalf("%s step %d: engine offset %d, oracle %d", label, step, off, wantOff)
+		}
+		n2.shift(off, period)
+		n1.absorb(n2)
+		eng.merged(e.U, e.V, off)
+		working.MergeNodes(e.U, e.V)
+		delete(nodes, e.V)
+	}
+	return gatherItems(working, nodes, pop)
+}
+
+// assocGrid is the geometry spread of the set-associative differential
+// tests: 2- and 4-way caches of 4, 16 and 128 sets with 32-byte lines.
+func assocGrid() []cache.Config {
+	var cfgs []cache.Config
+	for _, assoc := range []int{2, 4} {
+		for _, sets := range []int{4, 16, 128} {
+			cfgs = append(cfgs, cache.Config{SizeBytes: sets * assoc * 32, LineBytes: 32, Assoc: assoc})
+		}
+	}
+	return cfgs
+}
+
 // TestDifferentialAssoc: the set-associative engine against the
-// bestAlignmentAssoc oracle over the pair database, 100 seeds.
+// bestAlignmentAssoc oracle over the pair database, cost vector by cost
+// vector at every merge and end to end, over 108 seeds covering every
+// geometry of assocGrid with 32- and 256-byte chunks and chunks as large
+// as the largest procedure. The small caches hold fewer sets than the
+// larger procedures have lines, so procedures larger than the cache and
+// chunk runs that wrap the period are both covered.
 func TestDifferentialAssoc(t *testing.T) {
-	cfg := cache.Config{SizeBytes: 256, LineBytes: 32, Assoc: 2}
-	for seed := int64(0); seed < 100; seed++ {
+	cfgs := assocGrid()
+	for seed := int64(0); seed < 108; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		prog, tr, pop := randomScenario(rng)
-		res, db, err := trg.BuildPairs(prog, tr, trg.Options{CacheBytes: cfg.SizeBytes, ChunkSize: 32, Popular: pop})
+		cfg := cfgs[seed%int64(len(cfgs))]
+		chunk := []int{32, 256, 0}[seed/int64(len(cfgs))%3]
+		if chunk == 0 {
+			for p := 0; p < prog.NumProcs(); p++ {
+				chunk = max(chunk, prog.Size(program.ProcID(p)))
+			}
+		}
+		label := fmt.Sprintf("seed %d (%d-way, %d sets, chunk %d)", seed, cfg.Assoc, cfg.NumSets(), chunk)
+		res, db, err := trg.BuildPairs(prog, tr, trg.Options{CacheBytes: cfg.SizeBytes, ChunkSize: chunk, Popular: pop})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		wantItems := checkAssocEngine(t, label, prog, res, db, pop, cfg)
+		got, err := PlaceAssoc(prog, res, db, pop, cfg)
+		if err != nil {
+			t.Fatalf("%s: PlaceAssoc: %v", label, err)
+		}
+		want, err := place.Linearize(prog, wantItems, pop.Unpopular(prog), cfg, cfg.NumSets())
+		if err != nil {
+			t.Fatalf("%s: oracle linearize: %v", label, err)
+		}
+		layoutsEqual(t, seed, "PlaceAssoc", got, want, prog)
+	}
+}
+
+// TestDifferentialAssocHandFilledDB drives the engine with pair databases
+// filled through Add rather than from a trace: random counts that include
+// D(p,{p,s}) entries, blocks past the chunker's range and chunks of
+// unpopular procedures, none of which the oracle ever charges.
+func TestDifferentialAssocHandFilledDB(t *testing.T) {
+	cfgs := assocGrid()
+	for seed := int64(0); seed < 36; seed++ {
+		rng := rand.New(rand.NewSource(4000 + seed))
+		prog, tr, pop := randomScenario(rng)
+		cfg := cfgs[seed%int64(len(cfgs))]
+		chunk := []int{32, 256}[seed%2]
+		res, err := trg.Build(prog, tr, trg.Options{CacheBytes: cfg.SizeBytes, ChunkSize: chunk, Popular: pop})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		period := cfg.NumSets()
-		align := func(n1, n2 *node) int {
-			off, _ := bestAlignmentAssoc(n1, n2, db, res.Chunker, prog, cfg.LineBytes, period)
-			return off
+		ids := res.Chunker.NumChunks() + 8
+		db, err := trg.NewPairDB(ids, func(id trg.BlockID) bool { return id%7 != 3 })
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantItems := oracleAssign(prog, res, pop, period, align)
+		for i := 0; i < 400; i++ {
+			p := trg.BlockID(rng.Intn(ids))
+			r, s := p, trg.BlockID(rng.Intn(ids))
+			if rng.Intn(3) != 0 {
+				r = trg.BlockID(rng.Intn(ids))
+			}
+			for n := rng.Intn(3) + 1; n > 0; n-- {
+				_ = db.Add(p, r, s) // pairs with an untracked block are refused
+			}
+		}
+		label := fmt.Sprintf("seed %d (%d-way, %d sets, chunk %d)", seed, cfg.Assoc, cfg.NumSets(), chunk)
+		checkAssocEngine(t, label, prog, res, db, pop, cfg)
+	}
+}
 
-		got, err := PlaceAssoc(prog, res, db, pop, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: PlaceAssoc: %v", seed, err)
-		}
-		want, err := place.Linearize(prog, wantItems, pop.Unpopular(prog), cfg, period)
-		if err != nil {
-			t.Fatalf("seed %d: oracle linearize: %v", seed, err)
-		}
-		layoutsEqual(t, seed, "PlaceAssoc", got, want, prog)
+// TestAssocEngineSearchAllocatesNothing: an alignment search reuses the
+// engine's buffers, so after the first it allocates nothing.
+func TestAssocEngineSearchAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	prog, tr, pop := randomScenario(rng)
+	cfg := cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 2}
+	res, db, err := trg.BuildPairs(prog, tr, trg.Options{CacheBytes: cfg.SizeBytes, ChunkSize: 32, Popular: pop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search, err := NewAlignmentAssocBench(prog, res, db, pop, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { search() }); n != 0 {
+		t.Errorf("bestOffset allocates %.1f times per search", n)
 	}
 }
 

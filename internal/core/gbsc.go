@@ -50,8 +50,9 @@ type Metrics struct {
 	HeapPops  int64
 	StalePops int64
 	// CrossEdges counts TRG_place cross-edges scanned by the edge-driven
-	// direct-mapped alignment scorer across all merges (zero for the
-	// set-associative engine, which charges set pairs instead).
+	// direct-mapped alignment scorer across all merges. The
+	// set-associative engine walks pair-database rows rather than
+	// TRG_place edges and adds nothing here.
 	CrossEdges int64
 }
 
@@ -68,10 +69,8 @@ func PlaceCounted(prog *program.Program, res *trg.Result, pop *popular.Set, cfg 
 
 // PlaceAssoc runs the Section 6 set-associative variant: alignment costs
 // come from the pair database D rather than pairwise TRG_place weights, and
-// alignments are resolved at set granularity. For Assoc == 1 it reduces to
-// behaviour equivalent in spirit to Place (a single intervening block
-// suffices to evict), but Place should be preferred for direct-mapped
-// targets.
+// alignments are resolved at set granularity. It requires Assoc >= 2; use
+// Place for direct-mapped caches.
 func PlaceAssoc(prog *program.Program, res *trg.Result, db *trg.PairDB, pop *popular.Set, cfg cache.Config) (*program.Layout, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

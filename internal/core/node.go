@@ -43,25 +43,3 @@ func mod(a, n int) int {
 	}
 	return m
 }
-
-// lineOccupancy maps each cache line (or set, for the associative variant)
-// to the chunk IDs resident there under the node's current alignment.
-// It is the CACHE array of the Figure 4 pseudo-code.
-type lineOccupancy [][]program.ChunkID
-
-// occupancy computes the line→chunks map for a node. For each procedure at
-// offset o, line o+i holds the chunk covering byte i*lineBytes of the
-// procedure. period is the number of cache lines for direct-mapped
-// placement and the number of sets for the set-associative variant.
-func occupancy(n *node, chunker *program.Chunker, prog *program.Program, lineBytes, period int) lineOccupancy {
-	occ := make(lineOccupancy, period)
-	for _, pp := range n.procs {
-		lines := prog.SizeLines(pp.Proc, lineBytes)
-		for i := 0; i < lines; i++ {
-			idx := mod(pp.Line+i, period)
-			chunk := chunker.ChunkAtOffset(pp.Proc, i*lineBytes)
-			occ[idx] = append(occ[idx], chunk)
-		}
-	}
-	return occ
-}

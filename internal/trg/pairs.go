@@ -20,6 +20,7 @@ const MaxPairChunks = 1 << 16
 // table. Counts involving an untracked chunk are 0.
 type PairDB struct {
 	rank []int32    // BlockID → dense rank, -1 when untracked
+	ids  []BlockID  // dense rank → BlockID
 	rows []rowTable // by rank of p
 	buf  []uint32   // scratch ranks for addBetween
 }
@@ -36,6 +37,7 @@ func NewPairDB(ids int, track func(BlockID) bool) (*PairDB, error) {
 			continue
 		}
 		d.rank[id] = int32(n)
+		d.ids = append(d.ids, BlockID(id))
 		n++
 	}
 	if n > MaxPairChunks {
@@ -137,4 +139,20 @@ func (r PairRow) Count(a, b BlockID) int64 {
 		return 0
 	}
 	return r.t.get(pairKey(ra, rb))
+}
+
+// Each calls fn once for every non-zero D(p,{a,b}) of the row's p, in
+// table order; a and b are the pair's two blocks, the lower-ranked first.
+// It decodes the row in place and allocates nothing.
+func (r PairRow) Each(fn func(a, b BlockID, n int64)) {
+	if r.t == nil {
+		return
+	}
+	ids := r.db.ids
+	for i, k1 := range r.t.keys {
+		if k1 != 0 {
+			k := k1 - 1
+			fn(ids[k>>16], ids[k&0xffff], r.t.vals[i])
+		}
+	}
 }
