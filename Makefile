@@ -73,10 +73,11 @@ STATIC_BENCHES = ^(BenchmarkStaticModel|BenchmarkStaticAnalyze|BenchmarkStaticEx
 INCR_BENCHES = ^(BenchmarkIncrementalReplace|BenchmarkScratchReplace)$$
 
 # Layout-batched replay (BENCH_batch.json): the 16-lane batched walk vs
-# 16 sequential RunCompiled walks of the same GBSC layout panel (the ≥3×
-# layout·events/sec headline), and the batched+abandoning exhaustive
-# search vs its frozen serial baseline (the ≥2× wall-time headline).
-BATCH_BENCHES = ^(BenchmarkRunCompiledSerial16|BenchmarkRunCompiledBatch16|BenchmarkOptimalSearchSerial|BenchmarkOptimalSearchBatched)$$
+# 16 sequential RunCompiled walks of the same GBSC layout panel, on the
+# direct-mapped and the 2-way LRU cache (their ratio says whether lanes
+# beyond one still pay), and the batched+abandoning exhaustive search vs
+# its frozen serial baseline (the ≥2× wall-time headline).
+BATCH_BENCHES = ^(BenchmarkRunCompiledSerial16|BenchmarkRunCompiledBatch16|BenchmarkRunCompiledSerial16LRU|BenchmarkRunCompiledBatch16LRU|BenchmarkOptimalSearchSerial|BenchmarkOptimalSearchBatched)$$
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(GBSC_BENCHES)' -benchmem \

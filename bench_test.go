@@ -675,6 +675,36 @@ func batchReplayFixture(b *testing.B) (cache.Config, *cache.CompiledTrace, []*La
 // simulator. The layout·events/sec metric is the BENCH_batch.json baseline.
 func BenchmarkRunCompiledSerial16(b *testing.B) {
 	cfg, ct, layouts := batchReplayFixture(b)
+	benchSerial16(b, cfg, ct, layouts)
+}
+
+// BenchmarkRunCompiledBatch16 scores the same panel in one walk of the
+// compiled trace with 16 interleaved cache states, layout compilation
+// included in the timed loop (acceptance: ≥3× the serial layout·events/sec).
+func BenchmarkRunCompiledBatch16(b *testing.B) {
+	cfg, ct, layouts := batchReplayFixture(b)
+	benchBatch16(b, cfg, ct, layouts)
+}
+
+// BenchmarkRunCompiledSerial16LRU is BenchmarkRunCompiledSerial16 on the
+// 8 KB 2-way LRU cache of Section 6.
+func BenchmarkRunCompiledSerial16LRU(b *testing.B) {
+	_, ct, layouts := batchReplayFixture(b)
+	benchSerial16(b, lruBenchConfig, ct, layouts)
+}
+
+// BenchmarkRunCompiledBatch16LRU is BenchmarkRunCompiledBatch16 on the
+// 8 KB 2-way LRU cache of Section 6.
+func BenchmarkRunCompiledBatch16LRU(b *testing.B) {
+	_, ct, layouts := batchReplayFixture(b)
+	benchBatch16(b, lruBenchConfig, ct, layouts)
+}
+
+// lruBenchConfig is the paper's 8 KB cache made 2-way set-associative.
+var lruBenchConfig = cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 2}
+
+// benchSerial16 times 16 RunCompiled walks through one reused simulator.
+func benchSerial16(b *testing.B, cfg cache.Config, ct *cache.CompiledTrace, layouts []*Layout) {
 	sim := cache.MustNewSim(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -689,11 +719,9 @@ func BenchmarkRunCompiledSerial16(b *testing.B) {
 	b.ReportMetric(float64(len(layouts))*float64(ct.Len())*float64(b.N)/b.Elapsed().Seconds(), "layout·events/sec")
 }
 
-// BenchmarkRunCompiledBatch16 scores the same panel in one walk of the
-// compiled trace with 16 interleaved cache states, layout compilation
-// included in the timed loop (acceptance: ≥3× the serial layout·events/sec).
-func BenchmarkRunCompiledBatch16(b *testing.B) {
-	cfg, ct, layouts := batchReplayFixture(b)
+// benchBatch16 times compiling the 16 layouts and scoring them in one
+// batched walk.
+func benchBatch16(b *testing.B, cfg cache.Config, ct *cache.CompiledTrace, layouts []*Layout) {
 	bs := cache.MustNewBatchSim(cfg)
 	tables := make([]*cache.CompiledLayout, len(layouts))
 	b.ResetTimer()

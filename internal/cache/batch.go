@@ -8,21 +8,15 @@ import (
 )
 
 // This file implements layout-batched compiled replay: one walk of a
-// shared CompiledTrace scores K candidate layouts at once. The serial
-// engine (RunCompiled) replays the trace once per layout, so comparing K
-// candidates streams the compiled event arrays K times; at paper scale
-// those arrays dwarf every cache level while a lane's simulated tag state
-// is a few kilobytes. The batch engine inverts the loop nest — events
-// outer, lanes inner — so the trace streams through memory once and the K
-// lane states stay resident, and hoists every layout-independent per-event
-// decision (class lookup, repeat count) out of the per-lane work entirely.
-//
-// Per-lane statistics are byte-identical to RunCompiled (hence to the
-// general RunTrace oracle): each lane performs exactly the reference
-// stream's accesses against its own state, including the §4c repeat
-// collapse, which becomes two array loads per (event, lane) because a
-// class's placed span and conflict-freedom are precomputed per layout by
-// CompileLayout.
+// shared CompiledTrace scores K candidate layouts at once. Each lane is a
+// full simulated cache state driven by the same replay kernel as Sim
+// (kernel.go), so per-lane statistics are byte-identical to RunCompiled
+// (hence to the reference-stream oracle), the class-residency memo and
+// repeat collapse included. What batching adds is the loop nest: chunks
+// of events outer, lanes inner, so each chunk of the compiled arrays is
+// read from the fastest cache level by every lane, and each lane's
+// per-class table is compiled once (CompileLayout) for any number of
+// replays.
 //
 // Early abandonment rides on miss-count monotonicity: a lane's running
 // miss count only grows as the walk proceeds, so once it exceeds a
@@ -32,66 +26,47 @@ import (
 // state.
 
 // CompiledLayout is a layout compiled against a CompiledTrace's activation
-// classes for one cache geometry: per class, the placed first line, the
-// line span, and whether the span is self-conflict-free (span ≤ NumLines,
-// the §4c collapse criterion). One table serves every replay of the
+// classes for one cache geometry: per class, the placed first line and
+// set, the line span, and its first-touch slots in a compact numbering of
+// the lines the layout occupies. One table serves every replay of the
 // layout against any view — full trace or Slice — sharing the class table
 // it was compiled from. Immutable after CompileLayout returns and safe
-// for concurrent use.
+// for concurrent use; a layout edited after compilation needs a new table.
 type CompiledLayout struct {
 	layout  *program.Layout
 	classes *classTable
 	cfg     Config
-	first   []int64 // per class: first placed line (line-granular address)
-	span    []int64 // per class: number of consecutive lines referenced
-	free    []bool  // per class: span self-conflict-free in this geometry
-	lines   int64   // 1 + the largest line any class touches (seen sizing)
+	tab     []placed
+	slots   int64 // first-touch slots the table numbers
 }
 
 // Layout returns the layout the table was compiled from.
 func (cl *CompiledLayout) Layout() *program.Layout { return cl.layout }
 
 // CompileLayout compiles layout against ct's activation classes for the
-// given geometry. The per-class resolution (base address → first line,
-// span, conflict-free bit) is exactly what ReplayCompiled derives per
-// event; compiling hoists it out of the walk so a batched replay pays two
-// array loads per (event, lane) instead. The layout must place the
-// program ct was compiled against.
+// given geometry — exactly the table Sim rebuilds on every call, hoisted
+// out so a batch pays one table load per (event, lane). The layout must
+// place the program ct was compiled against.
 func CompileLayout(cfg Config, ct *CompiledTrace, layout *program.Layout) (*CompiledLayout, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ct.checkProgram(layout)
-	nc := ct.NumClasses()
+	k := newKernel(cfg)
+	var ix indexer
+	var x lineIndex
+	ix.reach(ct.classes, layout, k.lineBytes)
+	ix.merge(&x)
 	cl := &CompiledLayout{
 		layout:  layout,
 		classes: ct.classes,
 		cfg:     cfg,
-		first:   make([]int64, nc),
-		span:    make([]int64, nc),
-		free:    make([]bool, nc),
+		tab:     make([]placed, len(ct.classes.proc)),
+		slots:   x.slots(),
 	}
-	lb := int64(cfg.LineBytes)
-	limit := int64(cfg.NumLines())
-	for c := 0; c < nc; c++ {
-		base := int64(layout.Addr(ct.classes.proc[c]))
-		ext := int64(ct.classes.ext[c])
-		first := base / lb
-		span := (base+ext-1)/lb - first + 1
-		cl.first[c] = first
-		cl.span[c] = span
-		cl.free[c] = span <= limit
-		if end := first + span; end > cl.lines {
-			cl.lines = end
-		}
-	}
+	k.place(cl.tab, ct.classes, layout, &x)
 	return cl, nil
 }
-
-// blockShift sets the residency memo's invalidation granularity:
-// 1<<blockShift sets per version block. Spans are typically a few lines,
-// so a residency check reads one or two block versions.
-const blockShift = 5
 
 // BatchOptions configures one batched run.
 type BatchOptions struct {
@@ -145,74 +120,28 @@ type BatchResult struct {
 	Batch BatchStats
 }
 
-// BatchSim replays one compiled trace against K layouts at once,
-// maintaining the K simulated cache states in structure-of-arrays form:
-// lane-major direct-mapped tag arrays, per-lane LRU age vectors for
-// set-associative geometries, and per-lane epoch-stamped first-touch
-// stamps for the cold/conflict split. Buffers grow once and are reused
-// across Bind/Run calls, so a search that scores thousands of candidates
-// in batches allocates per batch only the result slices.
+// BatchSim replays one compiled trace against K layouts at once, one
+// kernel lane per layout. The lanes' state lives in shared buffers that
+// grow once and are reused across Bind/Run calls, so a search that scores
+// thousands of candidates in batches allocates per batch only the result
+// slices.
 //
 // A BatchSim is not safe for concurrent use; workers bring their own,
 // exactly like Sim.
 type BatchSim struct {
-	cfg           Config
-	lineBytes     int64
-	numSets       int64
-	setMask       int64
-	setMaskOK     bool
-	assoc         int
-	collapseLimit int64
+	cfg Config
+	kernel
 
 	// Current binding: K lanes over one class-table family.
 	tabs    []*CompiledLayout
 	classes *classTable
-	ncls    int
-
-	// Tag state is lane-major: dm[lane*numSets+set] is lane's
-	// direct-mapped tag (-1 empty), so a lane's span walk probes
-	// consecutive words exactly like the serial engine while the K lane
-	// regions stay disjoint and hot. For assoc > 1,
-	// ways[(lane*numSets+set)*assoc+w] holds the MRU-first tags of the
-	// set and wlen[lane*numSets+set] how many are valid.
-	dm   []int64
-	ways []int64
-	wlen []int32
-	// seen is the per-lane first-touch stamp store: lane i owns
-	// seen[seenOff[i] : seenOff[i]+tabs[i].lines], indexed by line
-	// address. The epoch discipline makes Reset O(state), as in Sim.
-	seen    []uint32
-	seenOff []int64
-	epoch   uint32
-
-	// Class-residency memo (direct-mapped lanes only). A direct-mapped
-	// tag write happens only on a miss, and a full walk of a
-	// conflict-free class leaves every one of its lines resident
-	// (distinct sets); the lines then stay resident until a later write
-	// hits one of the class's sets. So: every tag write stamps its set's
-	// block in bver (lane-major, blockSets sets per block) with the
-	// next value of the global write counter wver, and a full walk of a
-	// conflict-free class records the counter in resStamp[lane*ncls+c]. On
-	// the class's next activation, bver ≤ resStamp across its set blocks
-	// proves no write touched its sets since the walk — every line is
-	// still resident, the walk would be all hits with no state change,
-	// and the lane settles the event in O(blocks) instead of O(span).
-	// Block granularity only costs precision (a write near a class's
-	// sets loses a skip), never soundness. wver never repeats and Reset
-	// re-stamps every block with a fresh value, so stale resStamp
-	// entries — including those left in a reused buffer by an earlier
-	// binding — can never claim residency. Unsound for LRU lanes, where
-	// hits promote and a skipped walk would diverge; those never
-	// consult the memo.
-	resStamp []int64
-	bver     []int64
-	wver     int64
-	nblocks  int64
-
-	stats []Stats
-	alive []bool
-	// active lists live lane indices in ascending order.
-	active []int
+	lanes   []lane
+	alive   []bool
+	// Backing stores the lanes' state is carved from: lane i owns the
+	// i-th sets×assoc ways, nblocks block versions and per-class
+	// residency stamps, and tabs[i].slots first-touch stamps.
+	ways, bver, res []int64
+	seen            []uint32
 
 	batch BatchStats
 }
@@ -222,19 +151,7 @@ func NewBatchSim(cfg Config) (*BatchSim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bs := &BatchSim{
-		cfg:           cfg,
-		lineBytes:     int64(cfg.LineBytes),
-		numSets:       int64(cfg.NumSets()),
-		assoc:         cfg.Assoc,
-		collapseLimit: int64(cfg.NumLines()),
-		epoch:         1,
-	}
-	if _, ok := log2(bs.numSets); ok {
-		bs.setMask, bs.setMaskOK = bs.numSets-1, true
-	}
-	bs.nblocks = (bs.numSets + (1 << blockShift) - 1) >> blockShift
-	return bs, nil
+	return &BatchSim{cfg: cfg, kernel: newKernel(cfg)}, nil
 }
 
 // MustNewBatchSim is NewBatchSim but panics on error.
@@ -268,41 +185,38 @@ func (bs *BatchSim) Bind(tables []*CompiledLayout) error {
 	}
 	bs.tabs = append(bs.tabs[:0], tables...)
 	bs.classes = nil
+	nc := int64(0)
 	if len(tables) > 0 {
 		bs.classes = tables[0].classes
+		nc = int64(len(bs.classes.proc))
 	}
-	k := len(tables)
-	nc := 0
-	if bs.classes != nil {
-		nc = len(bs.classes.proc)
-	}
-	bs.ncls = nc
-	bs.dm = grow(bs.dm, bs.numSets*int64(k))
-	if bs.assoc > 1 {
-		bs.ways = grow(bs.ways, bs.numSets*int64(k)*int64(bs.assoc))
-		bs.wlen = grow(bs.wlen, bs.numSets*int64(k))
-	}
-	bs.seenOff = grow(bs.seenOff, int64(k))
+	k := int64(len(tables))
+	nw := bs.sets * bs.assoc
+	bs.ways = grow(bs.ways, k*nw)
+	bs.bver = grow(bs.bver, k*bs.nblocks)
+	// Reused residency stamps are older than the fresh block versions
+	// Reset draws, so none can claim residency.
+	bs.res = grow(bs.res, k*nc)
 	var total int64
+	for _, t := range tables {
+		total += t.slots
+	}
+	// A fresh stamp store starts zeroed; a reused one relies on the epoch
+	// bump in Reset to retire stale stamps, exactly like Sim.
+	bs.seen = grow(bs.seen, total)
+	bs.lanes = grow(bs.lanes, k)
+	bs.alive = grow(bs.alive, k)
+	var off int64
 	for i, t := range tables {
-		bs.seenOff[i] = total
-		total += t.lines
+		j := int64(i)
+		bs.lanes[i] = lane{
+			ways: bs.ways[j*nw : (j+1)*nw],
+			bver: bs.bver[j*bs.nblocks : (j+1)*bs.nblocks],
+			res:  bs.res[j*nc : (j+1)*nc],
+			seen: bs.seen[off : off+t.slots],
+		}
+		off += t.slots
 	}
-	// A fresh seen allocation starts at epoch 1 with zeroed stamps;
-	// reusing a grown one relies on the epoch bump in Reset to retire
-	// stale stamps, exactly like Sim.
-	if int64(cap(bs.seen)) < total {
-		bs.seen = make([]uint32, total)
-		bs.epoch = 0 // Reset bumps to 1
-	} else {
-		bs.seen = bs.seen[:total]
-	}
-	bs.stats = grow(bs.stats, int64(k))
-	bs.alive = grow(bs.alive, int64(k))
-	// Grown resStamp contents are arbitrary; the fresh block versions
-	// Reset draws make any stale stamp a non-match.
-	bs.resStamp = grow(bs.resStamp, int64(nc*k))
-	bs.bver = grow(bs.bver, bs.nblocks*int64(k))
 	bs.Reset()
 	return nil
 }
@@ -318,38 +232,18 @@ func grow[T any](s []T, n int64) []T {
 }
 
 // Reset clears every lane's simulated state and statistics, keeping the
-// current binding. Like Sim.Reset it is O(tag state), not O(address
-// space): the first-touch stamps are retired by an epoch bump.
+// current binding. Like Sim.Reset it is O(tag state), not O(lines
+// touched): the first-touch stamps are retired by an epoch bump.
 func (bs *BatchSim) Reset() {
-	if bs.assoc == 1 {
-		for i := range bs.dm {
-			bs.dm[i] = -1
-		}
-	} else {
-		for i := range bs.wlen {
-			bs.wlen[i] = 0
-		}
+	for i := range bs.ways {
+		bs.ways[i] = -1
 	}
-	for i := range bs.stats {
-		bs.stats[i] = Stats{}
+	for i := range bs.lanes {
+		bs.lanes[i].stats = Stats{}
 		bs.alive[i] = true
 	}
-	// A fresh write version on every block outdates all residency stamps.
-	bs.wver++
-	for i := range bs.bver {
-		bs.bver[i] = bs.wver
-	}
-	bs.active = bs.active[:0]
-	for i := range bs.tabs {
-		bs.active = append(bs.active, i)
-	}
-	bs.epoch++
-	if bs.epoch == 0 { // wraparound: actually clear the stamps
-		for i := range bs.seen {
-			bs.seen[i] = 0
-		}
-		bs.epoch = 1
-	}
+	bs.invalidate(bs.bver)
+	bs.newEpoch(bs.seen)
 }
 
 // Run binds tables, resets, and walks ct once for all lanes, applying
@@ -368,11 +262,12 @@ func (bs *BatchSim) Run(ct *CompiledTrace, tables []*CompiledLayout, opts BatchO
 	bs.batch.Lanes += int64(len(tables))
 	bs.replay(ct, opts.Budgets)
 	res := &BatchResult{
-		Stats:     append([]Stats(nil), bs.stats...),
+		Stats:     make([]Stats, len(tables)),
 		Abandoned: make([]bool, len(tables)),
 	}
-	for i, a := range bs.alive {
-		if !a {
+	for i := range bs.lanes {
+		res.Stats[i] = bs.lanes[i].stats
+		if !bs.alive[i] {
 			res.Abandoned[i] = true
 			bs.batch.AbandonedLanes++
 		}
@@ -392,379 +287,70 @@ func (bs *BatchSim) Run(ct *CompiledTrace, tables []*CompiledLayout, opts BatchO
 // a sequence of Replay calls over consecutive Slices of one compilation
 // is byte-identical per lane to a single Run over the whole trace. This
 // is the windowed entry point of the sampled evaluation path, where one
-// window walk scores several layouts. Budgets do not apply; every lane
-// stays live.
+// window walk scores several layouts. Budgets do not apply; lanes retired
+// by an earlier Run stay retired.
 func (bs *BatchSim) Replay(ct *CompiledTrace) ([]Stats, error) {
 	if len(bs.tabs) > 0 && ct.classes != bs.classes {
 		return nil, fmt.Errorf("cache: replayed trace is not from the bound compilation family")
 	}
-	deltas := append([]Stats(nil), bs.stats...)
+	deltas := make([]Stats, len(bs.lanes))
+	for i := range bs.lanes {
+		deltas[i] = bs.lanes[i].stats
+	}
 	bs.replay(ct, nil)
 	for i := range deltas {
+		st := bs.lanes[i].stats
 		deltas[i] = Stats{
-			Refs:   bs.stats[i].Refs - deltas[i].Refs,
-			Misses: bs.stats[i].Misses - deltas[i].Misses,
-			Cold:   bs.stats[i].Cold - deltas[i].Cold,
+			Refs:   st.Refs - deltas[i].Refs,
+			Misses: st.Misses - deltas[i].Misses,
+			Cold:   st.Cold - deltas[i].Cold,
 		}
 	}
 	return deltas, nil
 }
 
-// replay is the shared walk: events outer, live lanes inner. budgets nil
-// disables abandonment. Lane state and statistics accumulate into the
-// bound buffers. The budget-free direct-mapped pow2 walk — the shape of
-// every batch except the exhaustive search's — takes a specialized loop
-// with no active-list or budget overhead per (event, lane).
-func (bs *BatchSim) replay(ct *CompiledTrace, budgets []int64) {
-	n := ct.n
-	if n == 0 || len(bs.active) == 0 {
-		bs.batch.LaneEventsSaved += int64(n) * int64(len(bs.tabs))
-		return
-	}
-	k := len(bs.tabs)
-	if len(bs.active) == k && bs.assoc == 1 && bs.setMaskOK {
-		bs.replayFastDM(ct, budgets)
-		return
-	}
-	classOf, reps := ct.classOf, ct.reps
-	dmLane := bs.assoc == 1
-	for i := 0; i < n; i++ {
-		if len(bs.active) == 0 {
-			// Every lane retired: the rest of the walk is saved.
-			bs.batch.LaneEventsSaved += int64(n-i) * int64(k)
-			return
-		}
-		bs.batch.LaneEvents += int64(len(bs.active))
-		bs.batch.LaneEventsSaved += int64(k - len(bs.active))
-		c := int(classOf[i])
-		r := int64(reps[i])
-		// retire shrinks bs.active in place, so the loop re-reads its
-		// length every iteration rather than holding a stale header.
-		for li := 0; li < len(bs.active); {
-			lane := bs.active[li]
-			t := bs.tabs[lane]
-			span := t.span[c]
-			first := t.first[c]
-			free := t.free[c]
-			st := &bs.stats[lane]
-			if dmLane && free && bs.classResident(lane, c, first, span) {
-				// Resident class: all hits, no state change, no new
-				// misses — the budget cannot newly trip.
-				st.Refs += r * span
-				li++
-				continue
-			}
-			iters := r
-			if r > 1 && free {
-				iters = 1
-			}
-			if dmLane {
-				bs.walkDM(lane, first, span, iters, st)
-				if free {
-					bs.resStamp[lane*bs.ncls+c] = bs.wver
-				}
-			} else {
-				bs.walkLRU(lane, first, span, iters, st)
-			}
-			st.Refs += iters * span
-			if iters != r {
-				st.Refs += (r - 1) * span
-			}
-			if budgets != nil && st.Misses > budgets[lane] {
-				bs.retire(li)
-				continue // bs.active shrank; li now names the next lane
-			}
-			li++
-		}
-	}
-}
-
-// chunkEvents is the event-block size of the fast walk's loop blocking:
-// lanes iterate outer within a chunk, so one lane's registers and tables
-// stay live across the whole block while the block's trace arrays stay in
-// the fastest cache level for every lane.
+// chunkEvents is the event-block size of the walk: lanes iterate inside a
+// chunk, so one lane's table and state stay hot across the whole block
+// while the block's trace arrays stay in the fastest cache level for
+// every lane. Lanes share no simulated state, so the order cannot change
+// any lane's statistics.
 const chunkEvents = 4096
 
-// replayFastDM is the direct-mapped pow2 walk taken by every batch that
-// starts with all lanes live. The walk is blocked — chunks of events
-// outer, lanes middle, the chunk's events inner — which amortizes all
-// per-lane setup (table bases, tag region, counters) over a chunk and
-// re-streams only the chunk-sized trace window per lane. Lanes share no
-// state, so the interchange cannot change any lane's statistics. A
-// resident class (see the memo fields) settles in O(1); otherwise the
-// span walks against stride-1 tags. Statistics are byte-identical to the
-// generic walk; the collapse identity iters·span + (r−1)·span = r·span
-// folds the reference count to one add. A lane whose miss count exceeds
-// its budget retires after the offending event exactly as in the generic
-// walk — the budget compare is one register test per event, and a
-// retired lane drops out of every later chunk.
-func (bs *BatchSim) replayFastDM(ct *CompiledTrace, budgets []int64) {
-	n := ct.n
-	k := len(bs.tabs)
-	classOf, reps := ct.classOf, ct.reps
-	nc := bs.ncls
-	nblocks := bs.nblocks
-	multiBlock := nblocks > 1
-	sets := bs.numSets
-	epoch := bs.epoch
-	for lo := 0; lo < n; lo += chunkEvents {
-		hi := min(lo+chunkEvents, n)
-		for lane := 0; lane < k; lane++ {
-			if !bs.alive[lane] {
+// replay walks ct for every live lane, chunk by chunk. budgets nil
+// disables abandonment; otherwise a lane whose misses exceed its budget
+// retires after the offending event, and the events it would still have
+// walked count as saved.
+func (bs *BatchSim) replay(ct *CompiledTrace, budgets []int64) {
+	n := int64(ct.n)
+	for i := range bs.lanes {
+		if !bs.alive[i] {
+			bs.batch.LaneEventsSaved += n
+		}
+	}
+	for lo := 0; lo < ct.n; lo += chunkEvents {
+		hi := min(lo+chunkEvents, ct.n)
+		for i := range bs.lanes {
+			if !bs.alive[i] {
 				continue
 			}
 			budget := int64(math.MaxInt64)
 			if budgets != nil {
-				budget = budgets[lane]
+				budget = budgets[i]
 			}
-			t := bs.tabs[lane]
-			firstA, spanA, freeA := t.first, t.span, t.free
-			stamp := bs.resStamp[lane*nc : lane*nc+nc]
-			dm := bs.dm[int64(lane)*sets : int64(lane)*sets+sets]
-			mask := int64(len(dm) - 1)
-			lbv := bs.bver[int64(lane)*nblocks : int64(lane)*nblocks+nblocks]
-			seen := bs.seen[bs.seenOff[lane]:]
-			st := &bs.stats[lane]
-			refs, misses, cold := st.Refs, st.Misses, st.Cold
-			wver := bs.wver
-			for i := lo; i < hi; i++ {
-				c := classOf[i]
-				r := int64(reps[i])
-				span := spanA[c]
-				free := freeA[c]
-				first := firstA[c]
-				if free {
-					// stamp == wver means no tag write anywhere in the
-					// lane since the class was last proven resident, so
-					// the span is still intact — the steady-state one-
-					// compare fast path. Otherwise scan the covering
-					// block versions and, on success, re-stamp so the
-					// next check is again one compare.
-					sv := stamp[c]
-					resident := sv == wver
-					if !resident && multiBlock {
-						// With a single version block any write since the
-						// stamp already invalidates it, so the block scan
-						// only pays when blocks partition the sets.
-						s0 := first & mask
-						end := s0 + span - 1
-						if end < sets {
-							resident = blocksClean(lbv, sv, s0, end)
-						} else {
-							resident = blocksClean(lbv, sv, s0, sets-1) &&
-								blocksClean(lbv, sv, 0, end-sets)
-						}
-						if resident {
-							stamp[c] = wver
-						}
-					}
-					if resident {
-						refs += r * span
-						continue
-					}
-				}
-				iters := r
-				if r > 1 && free {
-					iters = 1
-				}
-				last := first + span
-				for it := int64(0); it < iters; it++ {
-					for ln := first; ln < last; ln++ {
-						if dm[ln&mask] != ln {
-							dm[ln&mask] = ln
-							wver++
-							lbv[(ln&mask)>>blockShift] = wver
-							misses++
-							if seen[ln] != epoch {
-								seen[ln] = epoch
-								cold++
-							}
-						}
-					}
-				}
-				if free {
-					stamp[c] = wver
-				}
-				refs += r * span
-				if misses > budget {
-					// The running count already exceeds the budget: this
-					// lane cannot beat the caller's incumbent. Events
-					// walked so far (through i) count as lane work; the
-					// rest of the trace is saved.
-					bs.retireLane(lane)
-					bs.batch.LaneEvents += int64(i + 1)
-					bs.batch.LaneEventsSaved += int64(n - i - 1)
-					break
-				}
-			}
-			st.Refs, st.Misses, st.Cold = refs, misses, cold
-			// Hand the write counter to the next lane: values stay
-			// globally unique and monotone.
-			bs.wver = wver
-		}
-	}
-	for lane := 0; lane < k; lane++ {
-		if bs.alive[lane] {
-			bs.batch.LaneEvents += int64(n)
-		}
-	}
-}
-
-// retireLane removes lane from the active list and marks it dead.
-func (bs *BatchSim) retireLane(lane int) {
-	bs.alive[lane] = false
-	for li, l := range bs.active {
-		if l == lane {
-			bs.active = append(bs.active[:li], bs.active[li+1:]...)
-			return
-		}
-	}
-}
-
-// blocksClean reports whether no write version in the blocks covering
-// sets [s0, s1] exceeds stamp.
-func blocksClean(lbv []int64, stamp, s0, s1 int64) bool {
-	for b := s0 >> blockShift; b <= s1>>blockShift; b++ {
-		if lbv[b] > stamp {
-			return false
-		}
-	}
-	return true
-}
-
-// classResident reports whether every line of class c's conflict-free
-// span starting at first is provably still resident in lane's
-// direct-mapped state (no write has touched the span's set blocks since
-// the class's stamp).
-func (bs *BatchSim) classResident(lane, c int, first, span int64) bool {
-	stamp := bs.resStamp[lane*bs.ncls+c]
-	if stamp == bs.wver {
-		// No write anywhere in the lane since the class was last proven
-		// resident — the steady-state one-compare case.
-		return true
-	}
-	sets := bs.numSets
-	var s0 int64
-	if bs.setMaskOK {
-		s0 = first & bs.setMask
-	} else {
-		s0 = first % sets
-	}
-	lbv := bs.bver[int64(lane)*bs.nblocks : int64(lane)*bs.nblocks+bs.nblocks]
-	var resident bool
-	if end := s0 + span - 1; end < sets {
-		resident = blocksClean(lbv, stamp, s0, end)
-	} else {
-		resident = blocksClean(lbv, stamp, s0, sets-1) && blocksClean(lbv, stamp, 0, end-sets)
-	}
-	if resident {
-		// Re-stamp so the next check is again one compare.
-		bs.resStamp[lane*bs.ncls+c] = bs.wver
-	}
-	return resident
-}
-
-// walkDM performs iters sweeps of the span [first, first+span) against
-// lane's direct-mapped tags, updating misses and the cold split in st and
-// stamping written set blocks for the residency memo. References are
-// accounted by the caller in one add.
-func (bs *BatchSim) walkDM(lane int, first, span, iters int64, st *Stats) {
-	sets := bs.numSets
-	dm := bs.dm[int64(lane)*sets : int64(lane)*sets+sets]
-	lbv := bs.bver[int64(lane)*bs.nblocks : int64(lane)*bs.nblocks+bs.nblocks]
-	seen := bs.seen[bs.seenOff[lane]:]
-	epoch := bs.epoch
-	last := first + span
-	if bs.setMaskOK {
-		mask := int64(len(dm) - 1)
-		for it := int64(0); it < iters; it++ {
-			for ln := first; ln < last; ln++ {
-				if dm[ln&mask] != ln {
-					dm[ln&mask] = ln
-					bs.wver++
-					lbv[(ln&mask)>>blockShift] = bs.wver
-					st.Misses++
-					if seen[ln] != epoch {
-						seen[ln] = epoch
-						st.Cold++
-					}
-				}
-			}
-		}
-		return
-	}
-	for it := int64(0); it < iters; it++ {
-		for ln := first; ln < last; ln++ {
-			idx := ln % sets
-			if dm[idx] != ln {
-				dm[idx] = ln
-				bs.wver++
-				lbv[idx>>blockShift] = bs.wver
-				st.Misses++
-				if seen[ln] != epoch {
-					seen[ln] = epoch
-					st.Cold++
-				}
+			l := &bs.lanes[i]
+			walked := int64(lo + bs.walk(l, bs.tabs[i].tab, ct, lo, hi, budget))
+			if l.stats.Misses > budget {
+				bs.alive[i] = false
+				bs.batch.LaneEvents += walked
+				bs.batch.LaneEventsSaved += n - walked
 			}
 		}
 	}
-}
-
-// walkLRU is walkDM for set-associative geometries: per set and lane, an
-// MRU-first age vector with the same hit-promotion and evict-LRU rules as
-// Sim.accessLine.
-func (bs *BatchSim) walkLRU(lane int, first, span, iters int64, st *Stats) {
-	sets := bs.numSets
-	assoc := int64(bs.assoc)
-	ways, wlen := bs.ways, bs.wlen
-	laneBase := int64(lane) * sets
-	seen := bs.seen[bs.seenOff[lane]:]
-	epoch := bs.epoch
-	last := first + span
-	for it := int64(0); it < iters; it++ {
-		for ln := first; ln < last; ln++ {
-			var set int64
-			if bs.setMaskOK {
-				set = ln & bs.setMask
-			} else {
-				set = ln % sets
-			}
-			slot := laneBase + set
-			base := slot * assoc
-			l := int64(wlen[slot])
-			hit := false
-			for w := int64(0); w < l; w++ {
-				if ways[base+w] == ln {
-					copy(ways[base+1:base+w+1], ways[base:base+w])
-					ways[base] = ln
-					hit = true
-					break
-				}
-			}
-			if hit {
-				continue
-			}
-			st.Misses++
-			if seen[ln] != epoch {
-				seen[ln] = epoch
-				st.Cold++
-			}
-			if l < assoc {
-				l++
-				wlen[slot] = int32(l)
-			}
-			copy(ways[base+1:base+l], ways[base:base+l-1])
-			ways[base] = ln
+	for i := range bs.lanes {
+		if bs.alive[i] {
+			bs.batch.LaneEvents += n
 		}
 	}
-}
-
-// retire removes the lane at position li of the active list, preserving
-// the ascending order of the remaining lanes.
-func (bs *BatchSim) retire(li int) {
-	lane := bs.active[li]
-	bs.alive[lane] = false
-	bs.active = append(bs.active[:li], bs.active[li+1:]...)
 }
 
 // RunCompiledBatch compiles each layout against ct and scores all of them

@@ -2,10 +2,18 @@
 // direct-mapped and set-associative (LRU) caches. It is the measurement
 // device of the paper's evaluation: given a layout and a trace, it reports
 // the instruction-cache miss rate of the resulting executable.
+//
+// Every exact replay runs through one kernel (kernel.go) over a trace
+// compiled once per (program, trace) pair (replay.go): Sim is one lane of
+// it, BatchSim (batch.go) scores K layouts in one walk with K lanes. The
+// kernel's repeat collapse and class-residency memo keep every counter
+// byte-identical to the reference stream, which the tests check against
+// a naive set model that shares no code with it.
 package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/program"
 	"repro/internal/trace"
@@ -80,55 +88,32 @@ func (s *Stats) Add(other Stats) {
 	s.Cold += other.Cold
 }
 
-// Sim is a functional instruction-cache simulator. The tag stored per way is
-// the line-granular memory address (address / LineBytes), which uniquely
-// identifies the cached content.
+// Sim is a functional instruction-cache simulator: one lane of the replay
+// kernel (kernel.go). The tag stored per way is the line-granular memory
+// address (address / LineBytes), which uniquely identifies the cached
+// content.
 type Sim struct {
 	cfg Config
-	// lineBytes and numSets cache the per-access divisors so Access does
-	// not re-derive them from cfg on every reference.
-	lineBytes int64
-	numSets   int64
-	// lineShift/setMask strength-reduce the address arithmetic for
-	// power-of-two geometries (the common case, including every
-	// configuration the paper evaluates): addr→line becomes a shift and
-	// line→set a mask. The OK flags gate the fast arithmetic; non-power-
-	// of-two geometries — which Config.Validate accepts — fall back to
-	// div/mod with identical results.
-	lineShift   uint
-	lineShiftOK bool
-	setMask     int64
-	setMaskOK   bool
-	// collapseLimit is the largest activation line span that is provably
-	// self-conflict-free in this geometry (distinct sets when
-	// direct-mapped, at most Assoc span lines per set under LRU — both
-	// reduce to NumLines for consecutive line addresses). Spans within the
-	// limit replay repeats 2..r as guaranteed hits in O(1); larger spans
-	// fall back to the general loop.
-	collapseLimit int64
+	kernel
+	l lane
 	// memo caches the most recent trace compilation so hot loops that call
 	// RunTrace repeatedly with the same (program, trace) — the sweep and
 	// figure drivers replay one trace against hundreds of layouts — pay
 	// for compilation once.
 	memo *CompiledTrace
-	// replay counts engine fast-path behaviour for the current run.
-	replay ReplayStats
-	// dm is the direct-mapped fast path: when Assoc == 1 each set holds at
-	// most one line, so dm[s] is that line's tag (-1 when empty; line
-	// addresses are non-negative because layouts start at address 0) and
-	// the LRU machinery is skipped entirely.
-	dm    []int64
-	sets  [][]int64 // sets[s] is an LRU-ordered list (front = MRU) of line tags
-	stats Stats
-	// seen stamps each line address with the epoch of its first reference,
-	// so misses can be split into compulsory (first touch) and conflict
-	// (refetch after eviction). Reset bumps the epoch instead of clearing
-	// the array, making Reset O(sets) rather than O(address space) while
-	// still starting every run with a fresh compulsory-miss accounting —
-	// a reused simulator neither double-counts nor under-counts cold
-	// misses relative to a freshly allocated one.
-	seen  []uint32
-	epoch uint32
+	// tab is the per-class table of the current call. Every
+	// RunCompiled/ReplayCompiled call rebuilds it in place, because a
+	// layout may be edited with SetAddr between calls.
+	tab []placed
+	// idx numbers the first-touch slots of l.seen. A call that starts
+	// fresh (nothing referenced since Reset) renumbers them for its own
+	// layout; any other call or an Access outside idx widens idx to the
+	// union and moves the stamps (next and spare are the rebuild buffers),
+	// so first touches carry across layouts, windows and Access calls
+	// exactly as a line-addressed store would.
+	idx, next lineIndex
+	ix        indexer
+	spare     []uint32
 }
 
 // NewSim creates a simulator for the given configuration.
@@ -136,30 +121,10 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{
-		cfg:           cfg,
-		lineBytes:     int64(cfg.LineBytes),
-		numSets:       int64(cfg.NumSets()),
-		collapseLimit: int64(cfg.NumLines()),
-		epoch:         1,
-	}
-	if shift, ok := log2(s.lineBytes); ok {
-		s.lineShift, s.lineShiftOK = shift, true
-	}
-	if _, ok := log2(s.numSets); ok {
-		s.setMask, s.setMaskOK = s.numSets-1, true
-	}
-	if cfg.Assoc == 1 {
-		s.dm = make([]int64, s.numSets)
-		for i := range s.dm {
-			s.dm[i] = -1
-		}
-		return s, nil
-	}
-	s.sets = make([][]int64, s.numSets)
-	for i := range s.sets {
-		s.sets[i] = make([]int64, 0, cfg.Assoc)
-	}
+	s := &Sim{cfg: cfg, kernel: newKernel(cfg)}
+	s.l.ways = make([]int64, s.sets*s.assoc)
+	s.l.bver = make([]int64, s.nblocks)
+	s.Reset()
 	return s, nil
 }
 
@@ -172,130 +137,88 @@ func MustNewSim(cfg Config) *Sim {
 	return s
 }
 
-// log2 returns the base-2 logarithm of v and true when v is a positive
-// power of two.
-func log2(v int64) (uint, bool) {
-	if v <= 0 || v&(v-1) != 0 {
-		return 0, false
-	}
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n, true
-}
-
 // Config returns the simulator's configuration.
 func (s *Sim) Config() Config { return s.cfg }
 
-// Reset clears cache contents and statistics.
+// Reset clears cache contents and statistics. It is O(sets), not
+// O(lines touched): the first-touch stamps are retired by an epoch bump,
+// so every run starts with a fresh compulsory-miss accounting.
 func (s *Sim) Reset() {
-	for i := range s.dm {
-		s.dm[i] = -1
+	for i := range s.l.ways {
+		s.l.ways[i] = -1
 	}
-	for i := range s.sets {
-		s.sets[i] = s.sets[i][:0]
-	}
-	s.stats = Stats{}
-	s.replay = ReplayStats{}
-	s.epoch++
-	if s.epoch == 0 { // wraparound after ~4e9 Resets: actually clear the stamps
-		for i := range s.seen {
-			s.seen[i] = 0
-		}
-		s.epoch = 1
-	}
+	s.l.stats, s.l.replay = Stats{}, ReplayStats{}
+	s.newEpoch(s.l.seen, s.spare)
 }
 
-// Access references the line containing byte address addr, updating LRU
-// state and statistics. It reports whether the access hit.
+// Access references the line containing byte address addr, which must be
+// non-negative like every layout address, updating LRU state and
+// statistics. It reports whether the access hit.
 func (s *Sim) Access(addr int64) bool {
-	if s.lineShiftOK {
-		return s.accessLine(addr >> s.lineShift)
+	ln := addr / s.lineBytes
+	i := s.idx.find(ln)
+	if i < 0 {
+		// Number the 64-line block around ln too, keeping every stamp.
+		b := ln &^ 63
+		s.ix.lo = append(append(s.ix.lo[:0], s.idx.lo...), b)
+		s.ix.hi = append(append(s.ix.hi[:0], s.idx.hi...), b+64)
+		s.ix.merge(&s.next)
+		s.rebase()
+		i = s.idx.find(ln)
 	}
-	return s.accessLine(addr / s.lineBytes)
+	p := placed{first: ln, set: ln % s.sets, span: 1, seenOff: s.idx.base[i] - s.idx.lo[i]}
+	misses := s.l.stats.Misses
+	s.l.stats.Refs++
+	s.span(&s.l, &p, 1)
+	return s.l.stats.Misses == misses
 }
 
-// accessLine references the line with line-granular address lineAddr (i.e.
-// byte address / LineBytes), updating LRU state and statistics. It is the
-// span-batched entry point the replay engine uses: callers that already
-// iterate line addresses skip the per-reference byte→line division that
-// Access performs.
-func (s *Sim) accessLine(lineAddr int64) bool {
-	var setIdx int
-	if s.setMaskOK {
-		setIdx = int(lineAddr & s.setMask)
+// rebase makes next, which must cover every line idx covers, the current
+// index, moving each stamp to its line's slot under next.
+func (s *Sim) rebase() {
+	seen := grow(s.spare, s.next.slots())
+	clear(seen)
+	for i, lo := range s.idx.lo {
+		j := s.next.find(lo)
+		at := s.next.base[j] + lo - s.next.lo[j]
+		copy(seen[at:], s.l.seen[s.idx.base[i]:s.idx.base[i]+s.idx.hi[i]-lo])
+	}
+	s.spare, s.l.seen = s.l.seen, seen
+	s.idx, s.next = s.next, s.idx
+}
+
+// prepare rebuilds the per-class table for replaying ct placed by layout
+// and invalidates the residency memo. It allocates only while its buffers
+// grow.
+func (s *Sim) prepare(ct *CompiledTrace, layout *program.Layout) {
+	ct.checkProgram(layout)
+	s.ix.reach(ct.classes, layout, s.lineBytes)
+	if s.l.stats.Refs == 0 {
+		// Nothing referenced since Reset: no stamp of this epoch to keep.
+		s.ix.merge(&s.idx)
+		s.l.seen = grow(s.l.seen, s.idx.slots())
 	} else {
-		setIdx = int(lineAddr % s.numSets)
-	}
-	s.stats.Refs++
-	if s.dm != nil {
-		if s.dm[setIdx] == lineAddr {
-			return true
-		}
-		s.dm[setIdx] = lineAddr
-		s.miss(lineAddr)
-		return false
-	}
-	set := s.sets[setIdx]
-	for i, tag := range set {
-		if tag == lineAddr {
-			// Hit: move to MRU position.
-			copy(set[1:i+1], set[:i])
-			set[0] = lineAddr
-			return true
+		s.ix.lo = append(s.ix.lo, s.idx.lo...)
+		s.ix.hi = append(s.ix.hi, s.idx.hi...)
+		s.ix.merge(&s.next)
+		if !s.next.equal(&s.idx) {
+			s.rebase()
 		}
 	}
-	// Miss: insert at MRU, evicting LRU if the set is full.
-	s.miss(lineAddr)
-	if len(set) < s.cfg.Assoc {
-		set = append(set, 0)
-	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = lineAddr
-	s.sets[setIdx] = set
-	return false
-}
-
-// miss records a miss on lineAddr, classifying it as compulsory when the
-// line has never been referenced in the current epoch. Only the miss path
-// pays for the classification; hits are untouched.
-func (s *Sim) miss(lineAddr int64) {
-	s.stats.Misses++
-	if lineAddr >= int64(len(s.seen)) {
-		s.seen = append(s.seen, make([]uint32, lineAddr+1-int64(len(s.seen)))...)
-	}
-	if s.seen[lineAddr] != s.epoch {
-		s.seen[lineAddr] = s.epoch
-		s.stats.Cold++
-	}
-}
-
-// ensureSeen grows the cold-miss stamp array to cover every line of the
-// layout up front, so the miss path never reallocates mid-replay. Growth
-// preserves existing stamps; the epoch discipline keeps stale entries
-// inert.
-func (s *Sim) ensureSeen(layout *program.Layout) {
-	ext := int64(layout.Extent())
-	if ext <= 0 {
-		return
-	}
-	lines := (ext-1)/s.lineBytes + 1
-	if lines > int64(len(s.seen)) {
-		grown := make([]uint32, lines)
-		copy(grown, s.seen)
-		s.seen = grown
-	}
+	nc := int64(len(ct.classes.proc))
+	s.tab = grow(s.tab, nc)
+	s.l.res = grow(s.l.res, nc)
+	s.place(s.tab, ct.classes, layout, &s.idx)
+	s.invalidate(s.l.bver)
 }
 
 // Stats returns the accumulated statistics.
-func (s *Sim) Stats() Stats { return s.stats }
+func (s *Sim) Stats() Stats { return s.l.stats }
 
 // Replay returns the replay-engine counters accumulated since the last
 // Reset (equivalently, for the last RunTrace/RunCompiled call, which Reset
-// first). Runs replayed through the general Access loop leave them zero.
-func (s *Sim) Replay() ReplayStats { return s.replay }
+// first). Access calls leave them unchanged.
+func (s *Sim) Replay() ReplayStats { return s.l.replay }
 
 // RunTrace resets the simulator and replays tr (placed by layout) through
 // it, returning the resulting statistics. The layout supplies each
@@ -347,15 +270,15 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 //     Iterations 2..r are therefore accounted as Refs += (r−1)·span with no
 //     simulation at all, turning O(r·span) into O(span). Spans that exceed
 //     the limit can self-evict, so they fall back to the general loop.
-//   - Set indexing is strength-reduced to shift/mask for power-of-two
-//     geometries, and the direct-mapped span walk is batched (no per-line
-//     Access call).
+//   - The class-residency memo (kernel.go): a conflict-free activation
+//     whose sets saw no state change since the class's last full walk is
+//     settled as r·span hits without touching the cache state.
 //
 // The layout must place the program the trace was compiled against.
 func (s *Sim) RunCompiled(ct *CompiledTrace, layout *program.Layout) Stats {
 	s.Reset()
 	s.ReplayCompiled(ct, layout)
-	return s.stats
+	return s.l.stats
 }
 
 // ReplayCompiled replays the compiled trace placed by layout WITHOUT
@@ -372,62 +295,13 @@ func (s *Sim) RunCompiled(ct *CompiledTrace, layout *program.Layout) Stats {
 // lines already touched during warm-up count as conflict, not cold, exactly
 // as they would mid-run.
 func (s *Sim) ReplayCompiled(ct *CompiledTrace, layout *program.Layout) Stats {
-	ct.checkProgram(layout)
-	before := s.stats
-	s.ensureSeen(layout)
-	lb := s.lineBytes
-	for i, p := range ct.procs {
-		base := int64(layout.Addr(p))
-		ext := int64(ct.exts[i])
-		var first, last int64
-		if s.lineShiftOK {
-			first, last = base>>s.lineShift, (base+ext-1)>>s.lineShift
-		} else {
-			first, last = base/lb, (base+ext-1)/lb
-		}
-		span := last - first + 1
-		r := int64(ct.reps[i])
-		s.replay.Events++
-		iters := r
-		collapsed := false
-		if r > 1 {
-			if span <= s.collapseLimit {
-				iters, collapsed = 1, true
-			} else {
-				s.replay.FallbackEvents++
-			}
-		}
-		if s.dm != nil && s.setMaskOK {
-			// Batched direct-mapped span walk: probe the tag array
-			// directly, count the span's references in one add.
-			dm, mask := s.dm, s.setMask
-			for it := int64(0); it < iters; it++ {
-				for ln := first; ln <= last; ln++ {
-					if dm[ln&mask] != ln {
-						dm[ln&mask] = ln
-						s.miss(ln)
-					}
-				}
-			}
-			s.stats.Refs += iters * span
-		} else {
-			for it := int64(0); it < iters; it++ {
-				for ln := first; ln <= last; ln++ {
-					s.accessLine(ln)
-				}
-			}
-		}
-		if collapsed {
-			s.stats.Refs += (r - 1) * span
-			s.replay.FastEvents++
-			s.replay.CollapsedRepeats += r - 1
-			s.replay.CollapsedRefs += (r - 1) * span
-		}
-	}
+	before := s.l.stats
+	s.prepare(ct, layout)
+	s.walk(&s.l, s.tab, ct, 0, ct.n, math.MaxInt64)
 	return Stats{
-		Refs:   s.stats.Refs - before.Refs,
-		Misses: s.stats.Misses - before.Misses,
-		Cold:   s.stats.Cold - before.Cold,
+		Refs:   s.l.stats.Refs - before.Refs,
+		Misses: s.l.stats.Misses - before.Misses,
+		Cold:   s.l.stats.Cold - before.Cold,
 	}
 }
 

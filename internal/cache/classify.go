@@ -98,72 +98,55 @@ func RunTraceClassified(cfg Config, layout *program.Layout, tr *trace.Trace) (Cl
 // classification, returning the classified statistics (byte-identical to
 // RunTraceClassified on the source trace) plus the replay engine counters.
 //
-// Repeat collapsing applies here exactly as in (*Sim).RunCompiled: the
-// fully-associative shadow has the same capacity as the simulated cache
+// Every line goes through the kernel's span walk (kernel.go) one at a
+// time, next to the fully-associative shadow, so the residency memo does
+// not apply: the shadow must see every reference. Repeat collapsing does:
+// the shadow has the same capacity as the simulated cache
 // (Config.NumLines), so a span within the collapse limit fits the shadow
 // too — iterations 2..r hit in both caches, produce no misses to classify,
-// and leave both LRU states as iteration 1 left them. Cold-line tracking
-// uses a flat slice over the layout's line range instead of the oracle's
-// map (line addresses are bounded by the layout extent).
+// and leave both LRU states as iteration 1 left them. A miss is cold
+// exactly when the simulator counts it cold.
 func RunCompiledClassified(cfg Config, ct *CompiledTrace, layout *program.Layout) (ClassifiedStats, ReplayStats, error) {
 	sim, err := NewSim(cfg)
 	if err != nil {
 		return ClassifiedStats{}, ReplayStats{}, err
 	}
-	ct.checkProgram(layout)
-	sim.ensureSeen(layout)
+	sim.prepare(ct, layout)
 	cs := ClassifiedStats{PerProc: make([]int64, ct.prog.NumProcs())}
 	shadow := newFullyAssoc(cfg.NumLines())
-
-	lb := sim.lineBytes
-	var coldSeen []bool
-	if ext := int64(layout.Extent()); ext > 0 {
-		coldSeen = make([]bool, (ext-1)/lb+1)
-	}
-	for i, p := range ct.procs {
-		base := int64(layout.Addr(p))
-		ext := int64(ct.exts[i])
-		var first, last int64
-		if sim.lineShiftOK {
-			first, last = base>>sim.lineShift, (base+ext-1)>>sim.lineShift
-		} else {
-			first, last = base/lb, (base+ext-1)/lb
-		}
-		span := last - first + 1
+	l := &sim.l
+	for i, c := range ct.classOf {
+		p := sim.tab[c]
+		proc := ct.classes.proc[c]
 		r := int64(ct.reps[i])
-		sim.replay.Events++
-		iters := r
-		collapsed := false
+		l.stats.Refs += r * p.span
+		l.replay.Events++
+		iters := int64(1)
 		if r > 1 {
-			if span <= sim.collapseLimit {
-				iters, collapsed = 1, true
-			} else {
-				sim.replay.FallbackEvents++
-			}
+			iters = collapse(&l.replay, r, p.span, sim.limit)
 		}
-		for it := int64(0); it < iters; it++ {
-			for ln := first; ln <= last; ln++ {
-				faHit := shadow.access(ln)
-				if sim.accessLine(ln) {
+		for ; iters > 0; iters-- {
+			line := placed{first: p.first, set: p.set, span: 1, seenOff: p.seenOff}
+			for ; line.first < p.first+p.span; line.first++ {
+				faHit := shadow.access(line.first)
+				misses, cold := l.stats.Misses, l.stats.Cold
+				sim.span(l, &line, 1)
+				if line.set++; line.set == sim.sets {
+					line.set = 0
+				}
+				if l.stats.Misses == misses {
 					continue
 				}
-				cs.PerProc[p]++
+				cs.PerProc[proc]++
 				switch {
-				case !coldSeen[ln]:
+				case l.stats.Cold > cold:
 					cs.Cold++
-					coldSeen[ln] = true
 				case faHit:
 					cs.Conflict++
 				default:
 					cs.Capacity++
 				}
 			}
-		}
-		if collapsed {
-			sim.stats.Refs += (r - 1) * span
-			sim.replay.FastEvents++
-			sim.replay.CollapsedRepeats += r - 1
-			sim.replay.CollapsedRefs += (r - 1) * span
 		}
 	}
 	cs.Stats = sim.Stats()

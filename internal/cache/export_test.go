@@ -22,4 +22,4 @@ var RunTraceTLBOracle = runTraceTLBOracle
 
 // CollapseLimit exposes the largest self-conflict-free span for tests
 // pinning the fast-path/fallback boundary.
-func (s *Sim) CollapseLimit() int64 { return s.collapseLimit }
+func (s *Sim) CollapseLimit() int64 { return s.limit }

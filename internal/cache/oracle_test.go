@@ -5,72 +5,107 @@ import (
 	"repro/internal/trace"
 )
 
-// The original replay loops, kept as the references the compiled replay
-// engine is differentially tested against byte for byte. export_test.go
-// re-exports them to the external cache_test package.
+// The reference loops the replay kernel is differentially tested against
+// byte for byte. They expand every activation into its full reference
+// stream and run it through naiveCache, which shares no code with the
+// kernel. export_test.go re-exports them to the external cache_test
+// package.
 
-// runTraceOracle is the original general replay loop, retained verbatim as
-// the reference implementation the compiled engine is differentially
-// tested against: every activation expands its repeat count into
-// individual Access calls.
-func (s *Sim) runTraceOracle(layout *program.Layout, tr *trace.Trace) Stats {
-	s.Reset()
-	prog := layout.Program()
-	lb := s.lineBytes
-	for _, e := range tr.Events {
-		base := int64(layout.Addr(e.Proc))
-		ext := int64(e.ExtentBytes(prog))
-		first := base / lb
-		last := (base + ext - 1) / lb
-		for r := e.Repeats(); r > 0; r-- {
-			for ln := first; ln <= last; ln++ {
-				s.Access(ln * lb)
-			}
-		}
-	}
-	return s.stats
+// naiveCache is the reference set model: each set is an MRU-first list of
+// line addresses evicted from the back — LRU at any associativity,
+// direct-mapped at one way — and a miss is cold when its line was never
+// referenced before.
+type naiveCache struct {
+	assoc int
+	sets  [][]int64
+	seen  map[int64]bool
+	st    Stats
 }
 
-// runTraceClassifiedOracle is the original classification loop, retained
-// verbatim as the reference the compiled engine is differentially tested
-// against.
-func runTraceClassifiedOracle(cfg Config, layout *program.Layout, tr *trace.Trace) (ClassifiedStats, error) {
-	sim, err := NewSim(cfg)
-	if err != nil {
-		return ClassifiedStats{}, err
-	}
-	prog := layout.Program()
-	cs := ClassifiedStats{PerProc: make([]int64, prog.NumProcs())}
-	shadow := newFullyAssoc(cfg.NumLines())
-	seen := make(map[int64]bool)
+func newNaiveCache(cfg Config) *naiveCache {
+	return &naiveCache{assoc: cfg.Assoc, sets: make([][]int64, cfg.NumSets()), seen: make(map[int64]bool)}
+}
 
-	lb := int64(cfg.LineBytes)
+// access references line ln and reports whether it hit.
+func (c *naiveCache) access(ln int64) bool {
+	c.st.Refs++
+	idx := ln % int64(len(c.sets))
+	set := c.sets[idx]
+	at := -1
+	for i, tag := range set {
+		if tag == ln {
+			at = i
+		}
+	}
+	hit := at >= 0
+	if !hit {
+		c.st.Misses++
+		if !c.seen[ln] {
+			c.seen[ln] = true
+			c.st.Cold++
+		}
+		if len(set) < c.assoc {
+			set = append(set, 0)
+		}
+		at = len(set) - 1
+	}
+	copy(set[1:at+1], set[:at])
+	set[0] = ln
+	c.sets[idx] = set
+	return hit
+}
+
+// lines calls visit on every line reference tr makes placed by layout, in
+// order: each activation fetches every line overlapping its placed extent
+// once per repeat.
+func lines(lineBytes int64, layout *program.Layout, tr *trace.Trace, visit func(p program.ProcID, ln int64)) {
+	prog := layout.Program()
 	for _, e := range tr.Events {
 		base := int64(layout.Addr(e.Proc))
-		ext := int64(e.ExtentBytes(prog))
-		first := base / lb
-		last := (base + ext - 1) / lb
+		first := base / lineBytes
+		last := (base + int64(e.ExtentBytes(prog)) - 1) / lineBytes
 		for r := e.Repeats(); r > 0; r-- {
 			for ln := first; ln <= last; ln++ {
-				faHit := shadow.access(ln)
-				hit := sim.Access(ln * lb)
-				if hit {
-					continue
-				}
-				cs.PerProc[e.Proc]++
-				switch {
-				case !seen[ln]:
-					cs.Cold++
-					seen[ln] = true
-				case faHit:
-					cs.Conflict++
-				default:
-					cs.Capacity++
-				}
+				visit(e.Proc, ln)
 			}
 		}
 	}
-	cs.Stats = sim.Stats()
+}
+
+// runTraceOracle replays tr placed by layout through a fresh naiveCache of
+// the simulator's geometry; the simulator itself is not touched.
+func (s *Sim) runTraceOracle(layout *program.Layout, tr *trace.Trace) Stats {
+	c := newNaiveCache(s.cfg)
+	lines(s.lineBytes, layout, tr, func(_ program.ProcID, ln int64) { c.access(ln) })
+	return c.st
+}
+
+// runTraceClassifiedOracle is the reference classification loop: the
+// naive cache beside a fully-associative shadow of the same capacity.
+func runTraceClassifiedOracle(cfg Config, layout *program.Layout, tr *trace.Trace) (ClassifiedStats, error) {
+	if err := cfg.Validate(); err != nil {
+		return ClassifiedStats{}, err
+	}
+	c := newNaiveCache(cfg)
+	cs := ClassifiedStats{PerProc: make([]int64, layout.Program().NumProcs())}
+	shadow := newFullyAssoc(cfg.NumLines())
+	lines(int64(cfg.LineBytes), layout, tr, func(p program.ProcID, ln int64) {
+		faHit := shadow.access(ln)
+		cold := c.st.Cold
+		if c.access(ln) {
+			return
+		}
+		cs.PerProc[p]++
+		switch {
+		case c.st.Cold > cold:
+			cs.Cold++
+		case faHit:
+			cs.Conflict++
+		default:
+			cs.Capacity++
+		}
+	})
+	cs.Stats = c.st
 	return cs, nil
 }
 

@@ -26,19 +26,17 @@ type CompiledTrace struct {
 	prog *program.Program
 	src  *trace.Trace
 	n    int
-	// Flat per-event arrays: procs[i], exts[i] (effective extent in bytes,
-	// ≥ 1) and reps[i] (effective repeat count, ≥ 1) describe event i.
-	procs []program.ProcID
-	exts  []int32
-	reps  []int32
-	// classOf[i] names event i's activation class — its (proc, effective
-	// extent) pair, deduplicated in first-appearance order. Everything a
-	// replay derives from an event besides its repeat count (placed line
-	// span, conflict-freedom) is a function of the class alone, so a layout
-	// compiled against the classes (CompileLayout) answers those questions
-	// with two array loads per event. Slices share the class table, so
-	// tables compiled against the full trace serve every window of it.
+	// Flat per-event arrays: classOf[i] names event i's activation class —
+	// its (proc, effective extent ≥ 1) pair, deduplicated in
+	// first-appearance order — and reps[i] is its effective repeat count
+	// (≥ 1). Everything a replay derives from an event besides its repeat
+	// count (placed first line, span, conflict-freedom) is a function of
+	// the class alone, so a layout resolved against the classes answers
+	// those questions with one table load per event. Slices share the
+	// class table, so tables compiled against the full trace serve every
+	// window of it.
 	classOf []int32
+	reps    []int32
 	classes *classTable
 }
 
@@ -49,6 +47,11 @@ type CompiledTrace struct {
 type classTable struct {
 	proc []program.ProcID
 	ext  []int32
+	// procs lists the distinct procedures the classes activate, and
+	// reach[j] the largest extent any class of procs[j] fetches: together
+	// they bound the lines a layout's replay can touch.
+	procs []program.ProcID
+	reach []int32
 }
 
 // CompileTrace precompiles tr for replay against layouts of prog. The
@@ -58,29 +61,36 @@ type classTable struct {
 func CompileTrace(prog *program.Program, tr *trace.Trace) *CompiledTrace {
 	n := len(tr.Events)
 	ct := &CompiledTrace{
-		prog:  prog,
-		src:   tr,
-		n:     n,
-		procs: make([]program.ProcID, n),
-		exts:  make([]int32, n),
-		reps:  make([]int32, n),
+		prog:    prog,
+		src:     tr,
+		n:       n,
+		classOf: make([]int32, n),
+		reps:    make([]int32, n),
+		classes: &classTable{},
 	}
-	ct.classOf = make([]int32, n)
-	ct.classes = &classTable{}
+	cls := ct.classes
 	// Class IDs are assigned in first-appearance order — a deterministic
 	// function of the trace, independent of map iteration.
 	seen := make(map[int64]int32, 64)
+	procAt := make(map[program.ProcID]int, 64)
 	for i, e := range tr.Events {
-		ct.procs[i] = e.Proc
-		ct.exts[i] = int32(e.ExtentBytes(prog))
+		ext := int32(e.ExtentBytes(prog))
 		ct.reps[i] = int32(e.Repeats())
-		key := int64(ct.procs[i])<<32 | int64(ct.exts[i])
+		key := int64(e.Proc)<<32 | int64(ext)
 		id, ok := seen[key]
 		if !ok {
-			id = int32(len(ct.classes.proc))
+			id = int32(len(cls.proc))
 			seen[key] = id
-			ct.classes.proc = append(ct.classes.proc, ct.procs[i])
-			ct.classes.ext = append(ct.classes.ext, ct.exts[i])
+			cls.proc = append(cls.proc, e.Proc)
+			cls.ext = append(cls.ext, ext)
+			j, ok := procAt[e.Proc]
+			if !ok {
+				j = len(cls.procs)
+				procAt[e.Proc] = j
+				cls.procs = append(cls.procs, e.Proc)
+				cls.reach = append(cls.reach, 0)
+			}
+			cls.reach[j] = max(cls.reach[j], ext)
 		}
 		ct.classOf[i] = id
 	}
@@ -111,10 +121,8 @@ func (ct *CompiledTrace) Slice(lo, hi int) *CompiledTrace {
 	return &CompiledTrace{
 		prog:    ct.prog,
 		n:       hi - lo,
-		procs:   ct.procs[lo:hi],
-		exts:    ct.exts[lo:hi],
-		reps:    ct.reps[lo:hi],
 		classOf: ct.classOf[lo:hi],
+		reps:    ct.reps[lo:hi],
 		classes: ct.classes,
 	}
 }

@@ -29,7 +29,7 @@ func TestCompileTraceResolvesDefaults(t *testing.T) {
 		t.Error("Program() is not the compiled program")
 	}
 	for i, e := range tr.Events {
-		if got, want := ct.exts[i], int32(e.ExtentBytes(prog)); got != want {
+		if got, want := ct.classes.ext[ct.classOf[i]], int32(e.ExtentBytes(prog)); got != want {
 			t.Errorf("event %d: compiled extent %d, want %d", i, got, want)
 		}
 		if got, want := ct.reps[i], int32(e.Repeats()); got != want {

@@ -57,9 +57,9 @@ func RunCompiledTLB(cfg TLBConfig, ct *CompiledTrace, layout *program.Layout) (S
 	var st Stats
 	var rs ReplayStats
 	pb := cfg.PageBytes
-	for i, p := range ct.procs {
-		start := layout.Addr(p)
-		end := start + int(ct.exts[i]) - 1
+	for _, c := range ct.classOf {
+		start := layout.Addr(ct.classes.proc[c])
+		end := start + int(ct.classes.ext[c]) - 1
 		firstPg, lastPg := start/pb, end/pb
 		rs.Events++
 		if firstPg == lastPg && len(tlb.stack) > 0 && tlb.stack[0] == int64(firstPg) {

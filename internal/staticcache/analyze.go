@@ -119,33 +119,31 @@ func (m *Model) Analyze(layout *program.Layout) Interval {
 	for _, v := range merged {
 		total += v.hi - v.lo + 1
 	}
-	// idxOf maps absolute line → compact index (-1 untouched); setOf and
-	// perSet give each index's cache set and each set's member indices.
-	var maxLine int64 = -1
-	if len(merged) > 0 {
-		maxLine = merged[len(merged)-1].hi
-	}
-	idxOf := make([]int32, maxLine+1)
-	for i := range idxOf {
-		idxOf[i] = -1
-	}
+	// at[i] is the compact index of node i's first line: its lines take
+	// at[i], at[i]+1, ... (a node's span lies inside one merged interval),
+	// so the index grows with the touched lines, not the address span.
+	// setOf and perSet give each index's cache set and each set's member
+	// indices.
+	starts := make([]int32, len(merged))
 	setOf := make([]int32, total)
 	perSet := make([][]int32, numSets)
 	touches := make([]int64, total)
 	next := int32(0)
-	for _, v := range merged {
+	for j, v := range merged {
+		starts[j] = next
 		for ln := v.lo; ln <= v.hi; ln++ {
-			idxOf[ln] = next
 			s := int32(ln % numSets)
 			setOf[next] = s
 			perSet[s] = append(perSet[s], next)
 			next++
 		}
 	}
+	at := make([]int32, nn)
 	for i := range m.nodes {
-		n := &m.nodes[i]
-		for k := int64(0); k < span[i]; k++ {
-			touches[idxOf[first[i]+k]] += n.execs
+		j := sort.Search(len(merged), func(j int) bool { return merged[j].hi >= first[i] })
+		at[i] = starts[j] + int32(first[i]-merged[j].lo)
+		for k := int32(0); k < int32(span[i]); k++ {
+			touches[at[i]+k] += m.nodes[i].execs
 		}
 	}
 	// Structural persistence: a set whose touched lines all fit
@@ -237,7 +235,7 @@ func (m *Model) Analyze(layout *program.Layout) Interval {
 	// transfer runs class n's line sequence over the scratch state.
 	transfer := func(n int32, mu, ma []uint8) {
 		for k := int64(0); k < span[n]; k++ {
-			i := idxOf[first[n]+k]
+			i := at[n] + int32(k)
 			access(mu, ma, i, setOf[i])
 		}
 	}
@@ -337,7 +335,7 @@ func (m *Model) Analyze(layout *program.Layout) Interval {
 		}
 		repeatHits := nd.execs - missW
 		for k := int64(0); k < span[n]; k++ {
-			i := idxOf[first[n]+k]
+			i := at[n] + int32(k)
 			switch {
 			case exitMu[i] != 255: // always-hit
 				ghits[i] += nd.execs
