@@ -44,12 +44,13 @@ bench:
 
 # Machine-readable record of the pipeline hot paths (ns/op, B/op,
 # allocs/op): the Section 4.4 merge-loop benchmarks plus the selector/
-# scorer micro-benchmarks and the trace-replay engine benchmarks,
+# scorer micro-benchmarks, the trace-replay engine benchmarks and the
+# non-TRG layers of a layout run (trace decode, WCG build, HKC),
 # converted to JSON by cmd/benchjson and committed as BENCH_gbsc.json so
 # the perf trajectory is tracked per change. Override BENCHTIME (e.g.
 # BENCHTIME=1x in CI) to trade precision for speed.
 BENCHTIME ?= 1s
-GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkPlaceAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
+GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkPlaceAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkWCGBuild|BenchmarkHKC|BenchmarkReadBinary)$$
 
 # TRG ingest throughput (BENCH_trg.json): serial vs sharded build in
 # events/sec on the paper-scale vortex trace, plus the sequential

@@ -11,6 +11,7 @@ package repro
 // full-scale numbers recorded in EXPERIMENTS.md.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -561,6 +562,63 @@ func BenchmarkHKCPlacement(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := baseline.HKC(pair.Bench.Prog, g, pop, cache.PaperConfig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// gccTrainFixture is the gcc training trace at scale 1.0 with its popular
+// set: the largest program of the layout-dm workload, whose non-TRG
+// layers (decode, WCG build, HKC) the three benchmarks below time.
+func gccTrainFixture(b *testing.B) (*Program, *Trace, *popular.Set) {
+	b.Helper()
+	pair := tracegen.Lookup(tracegen.Suite(1.0), "gcc")
+	if pair == nil {
+		b.Fatal("unknown benchmark gcc")
+	}
+	tr := pair.Bench.Trace(pair.Train)
+	return pair.Bench.Prog, tr, popular.Select(pair.Bench.Prog, tr, popular.Options{})
+}
+
+// wcgSink keeps BenchmarkWCGBuild's result live.
+var wcgSink *graph.Graph
+
+// BenchmarkWCGBuild times the popular-filtered weighted call graph build
+// that feeds HKC, in trace events per second.
+func BenchmarkWCGBuild(b *testing.B) {
+	_, tr, pop := gccTrainFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wcgSink = wcg.BuildFiltered(tr, pop.Contains)
+	}
+	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkHKC times the cache-line-coloring placement on gcc's popular
+// call graph for the paper's 8 KB direct-mapped cache.
+func BenchmarkHKC(b *testing.B) {
+	prog, tr, pop := gccTrainFixture(b)
+	g := wcg.BuildFiltered(tr, pop.Contains)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := baseline.HKC(prog, g, pop, cache.PaperConfig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadBinary times decoding the binary-encoded training trace;
+// the MB/s column is encoded bytes per second.
+func BenchmarkReadBinary(b *testing.B) {
+	_, tr, _ := gccTrainFixture(b)
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,14 @@
 // Usage:
 //
 //	layout -prog perl.prog -trace perl-train.trace -alg gbsc -out perl.layout
+//	layout -prog perl.prog -trace perl-train.trace -alg hkc -stats report.json
+//
+// With -stats the command writes a JSON run report whose timers break the
+// run into stages: layout/decode (program description and trace),
+// layout/popular, layout/graph_build (the WCG, or the TRGs and for gbsc2
+// the pair database), layout/place, layout/check, layout/write, and
+// layout/wall around all of them. A stage an algorithm does not run is
+// absent.
 //
 // Algorithms: gbsc (the paper's temporal-ordering placement), gbsc2 (the
 // Section 6 two-way set-associative variant), ph (Pettis & Hansen), hkc
@@ -17,16 +25,19 @@ import (
 	"io"
 	"log"
 	"os"
+	"strconv"
 
 	"repro/internal/baseline"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/incr"
 	"repro/internal/invariant"
 	"repro/internal/popular"
 	"repro/internal/program"
 	"repro/internal/staticcache"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/report"
 	"repro/internal/trace"
 	"repro/internal/trg"
 	"repro/internal/wcg"
@@ -55,6 +66,7 @@ func run() error {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
 	checkFlag := flag.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
 	staticBounds := flag.Bool("static-bounds", false, "print the static must/may miss-rate interval of the produced layout (requires -trace)")
+	statsPath := flag.String("stats", "", "write a JSON run report with per-stage timers to this path")
 	flag.Parse()
 
 	checkMode, err := invariant.ParseMode(*checkFlag)
@@ -75,42 +87,51 @@ func run() error {
 		}
 	}()
 
-	pf, err := os.Open(*progPath)
-	if err != nil {
-		return err
-	}
-	prog, err := program.ReadDescription(pf)
-	if cerr := pf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
+	var sh *telemetry.Shard // nil, and every stage timer a no-op, without -stats
+	if *statsPath != "" {
+		reg := telemetry.NewRegistry()
+		sh = reg.Shard()
+		rep := report.New("layout")
+		rep.Params["prog"] = *progPath
+		rep.Params["trace"] = *tracePath
+		rep.Params["alg"] = *alg
+		rep.Params["cache"] = strconv.Itoa(*cacheBytes)
+		rep.Params["line"] = strconv.Itoa(*lineBytes)
+		rep.Params["chunk"] = strconv.Itoa(*chunk)
+		stopWall := sh.Time("layout/wall")
+		defer func() {
+			stopWall()
+			rep.AddSnapshot(reg.Snapshot())
+			rep.CaptureAlloc()
+			if werr := writeReport(*statsPath, rep); werr != nil {
+				log.Printf("stats: %v", werr)
+			}
+		}()
 	}
 
+	// stage runs fn under the stage timer layout/<name>.
+	stage := func(name string, fn func()) {
+		defer sh.Time("layout/" + name)()
+		fn()
+	}
+
+	var prog *program.Program
 	var tr *trace.Trace
-	if *tracePath != "" {
-		tf, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		tr, err = trace.ReadBinary(tf)
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if err := tr.Validate(prog); err != nil {
-			return err
-		}
-	} else if *alg != "default" {
+	stage("decode", func() { prog, tr, err = readInputs(*progPath, *tracePath) })
+	if err != nil {
+		return err
+	}
+	if tr == nil && *alg != "default" {
 		return fmt.Errorf("-trace is required for -alg %s", *alg)
-	} else if *staticBounds {
+	}
+	if tr == nil && *staticBounds {
 		return fmt.Errorf("-static-bounds needs -trace to bound the layout against")
 	}
-
 	if *incrFrom != "" && *alg != "gbsc" {
 		return fmt.Errorf("-incr-from is only supported with -alg gbsc")
+	}
+	if *incrFrom != "" && *pageAware {
+		return fmt.Errorf("-incr-from cannot be combined with -pagelocal")
 	}
 
 	cfg := cache.Config{SizeBytes: *cacheBytes, LineBytes: *lineBytes, Assoc: 1}
@@ -126,65 +147,73 @@ func run() error {
 	// after the fact: packed layouts may not have gaps, the GBSC family must
 	// line-align its popular procedures, HKC promises neither.
 	checkOpts := invariant.LayoutOptions{Cache: cfg}
+	var pop *popular.Set
+	if *alg == "hkc" || *alg == "gbsc" || *alg == "gbsc2" {
+		stage("popular", func() { pop = popular.Select(prog, tr, popular.Options{}) })
+	}
+	trgOpts := trg.Options{CacheBytes: cfg.SizeBytes, ChunkSize: *chunk, Popular: pop}
 	switch *alg {
 	case "default":
-		l = program.DefaultLayout(prog)
+		stage("place", func() { l = program.DefaultLayout(prog) })
 		checkOpts.RequirePacked = true
 	case "ph":
-		l, err = baseline.PHLayout(prog, wcg.Build(tr))
+		var g *graph.Graph
+		stage("graph_build", func() { g = wcg.Build(tr) })
+		stage("place", func() { l, err = baseline.PHLayout(prog, g) })
 		checkOpts.RequirePacked = true
 	case "hkc":
-		pop := popular.Select(prog, tr, popular.Options{})
-		l, err = baseline.HKC(prog, wcg.BuildFiltered(tr, pop.Contains), pop, cfg)
+		var g *graph.Graph
+		stage("graph_build", func() { g = wcg.BuildFiltered(tr, pop.Contains) })
+		stage("place", func() { l, err = baseline.HKC(prog, g, pop, cfg) })
 		checkOpts.Popular = pop
 	case "gbsc":
-		pop := popular.Select(prog, tr, popular.Options{})
 		var res *trg.Result
-		res, err = trg.Build(prog, tr, trg.Options{
-			CacheBytes: cfg.SizeBytes, ChunkSize: *chunk, Popular: pop,
-		})
-		if err == nil {
+		stage("graph_build", func() { res, err = trg.Build(prog, tr, trgOpts) })
+		if err != nil {
+			return err
+		}
+		stage("place", func() {
 			switch {
 			case *incrFrom != "":
-				if *pageAware {
-					return fmt.Errorf("-incr-from cannot be combined with -pagelocal")
-				}
 				l, err = incrLayout(prog, res, pop, cfg, *incrFrom, *chunk)
 			case *pageAware:
 				l, err = core.PlacePageAware(prog, res, pop, cfg)
 			default:
 				l, err = core.Place(prog, res, pop, cfg)
 			}
-			checkOpts.Popular = pop
-			checkOpts.Chunker = res.Chunker
-			checkOpts.RequireAlignedPopular = true
-		}
+		})
+		checkOpts.Popular = pop
+		checkOpts.Chunker = res.Chunker
+		checkOpts.RequireAlignedPopular = true
 	case "gbsc2":
-		pop := popular.Select(prog, tr, popular.Options{})
 		var res *trg.Result
 		var db *trg.PairDB
-		res, db, err = trg.BuildPairs(prog, tr, trg.Options{
-			CacheBytes: cfg.SizeBytes, ChunkSize: *chunk, Popular: pop,
-		})
-		if err == nil {
-			l, err = core.PlaceAssoc(prog, res, db, pop, cfg)
-			checkOpts.Popular = pop
-			checkOpts.Chunker = res.Chunker
-			// Section 6 aligns popular procedures to set boundaries, so the
-			// placement period is the set count.
-			checkOpts.Period = cfg.NumSets()
-			checkOpts.RequireAlignedPopular = true
+		stage("graph_build", func() { res, db, err = trg.BuildPairs(prog, tr, trgOpts) })
+		if err != nil {
+			return err
 		}
+		stage("place", func() { l, err = core.PlaceAssoc(prog, res, db, pop, cfg) })
+		checkOpts.Popular = pop
+		checkOpts.Chunker = res.Chunker
+		// Section 6 aligns popular procedures to set boundaries, so the
+		// placement period is the set count.
+		checkOpts.Period = cfg.NumSets()
+		checkOpts.RequireAlignedPopular = true
 	default:
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}
 	if err != nil {
 		return err
 	}
-	if err := l.Validate(); err != nil {
+	var vs []invariant.Violation
+	stage("check", func() {
+		if err = l.Validate(); err == nil {
+			vs = invariant.CheckLayout(prog, l, checkOpts)
+		}
+	})
+	if err != nil {
 		return fmt.Errorf("internal error: produced invalid layout: %w", err)
 	}
-	vs := invariant.CheckLayout(prog, l, checkOpts)
 	if err := invariant.Enforce(checkMode, "layout/"+*alg, vs, log.Printf); err != nil {
 		return err
 	}
@@ -201,18 +230,20 @@ func run() error {
 			return fmt.Errorf("unknown format %q", *format)
 		}
 	}
-	if *out == "" {
-		err = emit(os.Stdout)
-	} else {
+	stage("write", func() {
+		if *out == "" {
+			err = emit(os.Stdout)
+			return
+		}
 		var f *os.File
 		if f, err = os.Create(*out); err != nil {
-			return err
+			return
 		}
 		err = emit(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-	}
+	})
 	if err != nil {
 		return err
 	}
@@ -227,6 +258,51 @@ func run() error {
 			100*iv.LowerRate(), 100*iv.UpperRate(), 100*iv.Width(), 100*iv.ClassifiedFrac())
 	}
 	return nil
+}
+
+// readInputs reads the program description and, when tracePath is set,
+// the binary trace, validated against the program.
+func readInputs(progPath, tracePath string) (*program.Program, *trace.Trace, error) {
+	pf, err := os.Open(progPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	prog, err := program.ReadDescription(pf)
+	if cerr := pf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || tracePath == "" {
+		return prog, nil, err
+	}
+	tf, err := os.Open(tracePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := trace.ReadBinary(tf)
+	if cerr := tf.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = tr.Validate(prog)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, tr, nil
+}
+
+// writeReport writes rep to path, propagating Close errors so a truncated
+// report never passes silently.
+func writeReport(path string, rep *report.Report) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = report.Write(f, rep)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // incrLayout places the old profile's TRG first, then updates it to the

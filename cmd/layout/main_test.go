@@ -6,10 +6,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/program"
+	"repro/internal/telemetry/report"
 	"repro/internal/trace"
 	"repro/internal/trg"
 )
@@ -107,5 +109,56 @@ func TestGBSC2PlacesWithinPairSpace(t *testing.T) {
 	}
 	if fi, err := os.Stat(layoutPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("no layout written: %v", err)
+	}
+}
+
+// TestStatsStageTimers runs each algorithm with -stats and checks the run
+// report: every stage the algorithm runs has its timer, no other stage
+// does, and the stages, run one after another, sum to no more than
+// layout/wall.
+func TestStatsStageTimers(t *testing.T) {
+	dir := t.TempDir()
+	progPath, tracePath := writeInputs(t, dir, []program.Procedure{
+		{Name: "a", Size: 900}, {Name: "b", Size: 300}, {Name: "c", Size: 600}, {Name: "d", Size: 100},
+	})
+	stages := map[string][]string{
+		"gbsc": {"decode", "popular", "graph_build", "place", "check", "write"},
+		"hkc":  {"decode", "popular", "graph_build", "place", "check", "write"},
+		"ph":   {"decode", "graph_build", "place", "check", "write"},
+	}
+	all := []string{"decode", "popular", "graph_build", "place", "check", "write"}
+	for alg, want := range stages {
+		statsPath := filepath.Join(dir, alg+".json")
+		if out, code := runLayout(t, "-prog", progPath, "-trace", tracePath, "-alg", alg,
+			"-out", filepath.Join(dir, alg+".layout"), "-stats", statsPath); code != 0 {
+			t.Fatalf("%s: layout exited %d:\n%s", alg, code, out)
+		}
+		f, err := os.Open(statsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := report.Read(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		wall, ok := rep.Timers["layout/wall"]
+		if !ok || wall.Count != 1 {
+			t.Fatalf("%s: layout/wall timer %+v", alg, wall)
+		}
+		var sum int64
+		for _, s := range all {
+			tm, ok := rep.Timers["layout/"+s]
+			if ok != slices.Contains(want, s) {
+				t.Errorf("%s: stage %s present=%v, want %v", alg, s, ok, !ok)
+			}
+			if ok && tm.Count != 1 {
+				t.Errorf("%s: stage %s timed %d times, want once", alg, s, tm.Count)
+			}
+			sum += tm.TotalNS
+		}
+		if sum > wall.TotalNS {
+			t.Errorf("%s: stages sum to %d ns, more than layout/wall %d ns", alg, sum, wall.TotalNS)
+		}
 	}
 }

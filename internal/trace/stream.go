@@ -187,20 +187,11 @@ func (r *Reader) Index() int64 { return r.index }
 // multi-GB processing: memory use is bounded by len(dst) regardless of
 // trace length.
 func (r *Reader) ReadChunk(dst []Event) (int, error) {
-	for n := range dst {
-		e, err := r.Next()
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		dst[n] = e
+	n, err := r.decode(dst)
+	if err == io.EOF && n > 0 {
+		err = nil
 	}
-	return len(dst), nil
+	return n, err
 }
 
 // ReadAll drains the reader into an in-memory Trace. The declared count of
@@ -213,13 +204,103 @@ func (r *Reader) ReadAll() (*Trace, error) {
 		t.Events = make([]Event, 0, min(r.remaining, maxPreallocEvents))
 	}
 	for {
-		e, err := r.Next()
+		var n int
+		var err error
+		if free := t.Events[len(t.Events):cap(t.Events)]; len(free) > 0 {
+			n, err = r.decode(free)
+			t.Events = t.Events[:len(t.Events)+n]
+		} else {
+			// Full: grow by append, and only once another event exists.
+			var one [1]Event
+			if n, err = r.decode(one[:]); n == 1 {
+				t.Append(one[0])
+			}
+		}
 		if err == io.EOF {
 			return t, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		t.Append(e)
 	}
+}
+
+// maxFieldBytes is the length of the longest minimal uvarint encoding of
+// a field in range, math.MaxInt32 (31 bits in 7-bit groups).
+const maxFieldBytes = 5
+
+// fastBytes is how many buffered bytes the in-buffer decoder needs to be
+// sure an event's three fields lie within them.
+const fastBytes = 3 * maxFieldBytes
+
+// decode fills dst with the next events and returns how many it decoded,
+// stopping early with io.EOF at the end of the trace or with Next's error
+// at the first malformed event. It decodes straight from the bufio buffer
+// while at least fastBytes are buffered, and hands every event it cannot
+// finish there — the buffer runs low, or a field overflows or is out of
+// range — to Next, which decodes the same bytes again and so reports
+// exactly the error, message and event index that an event-by-event read
+// would.
+func (r *Reader) decode(dst []Event) (int, error) {
+	n := 0
+	for n < len(dst) {
+		if !r.streaming && r.remaining == 0 {
+			return n, io.EOF
+		}
+		// Neither Peek nor Discard can fail on bytes already buffered.
+		buf, _ := r.br.Peek(r.br.Buffered())
+		want := dst[n:]
+		if !r.streaming {
+			want = want[:min(uint64(len(want)), r.remaining)]
+		}
+		k, off := decodeEvents(want, buf)
+		n += k
+		r.index += int64(k)
+		if !r.streaming {
+			r.remaining -= uint64(k)
+		}
+		if k > 0 {
+			_, _ = r.br.Discard(off)
+			continue
+		}
+		e, err := r.Next()
+		if err != nil {
+			return n, err
+		}
+		dst[n] = e
+		n++
+	}
+	return n, nil
+}
+
+// decodeEvents decodes whole events from the front of buf into dst while
+// at least fastBytes of buf are left, and returns how many it decoded and
+// how many bytes they took. It stops before the first event with a field
+// longer than maxFieldBytes or above math.MaxInt32; Next decodes that one
+// (a longer, non-minimal encoding of a small value is still valid).
+func decodeEvents(dst []Event, buf []byte) (n, off int) {
+	for n < len(dst) && len(buf)-off >= fastBytes {
+		var f [3]uint64
+		i := off
+		for j := range f {
+			for s := 0; ; s += 7 {
+				b := buf[i]
+				i++
+				f[j] |= uint64(b&0x7f) << s
+				if b < 0x80 {
+					break
+				}
+				if s == 7*(maxFieldBytes-1) {
+					return n, off
+				}
+			}
+			if f[j] > math.MaxInt32 {
+				return n, off
+			}
+		}
+		dst[n] = Event{Proc: program.ProcID(f[0]), Extent: int32(f[1]), Repeat: int32(f[2])}
+		n++
+		off = i
+	}
+	return n, off
 }

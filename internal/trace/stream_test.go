@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,54 @@ func TestReadChunk(t *testing.T) {
 			t.Errorf("streamed=%v: Index = %d, want 10", streamed, r.Index())
 		}
 	}
+}
+
+// TestReadChunkAcrossBufferBoundary reads traces whose first bad field
+// straddles the end of the reader's buffer in chunks of several sizes:
+// every chunked read must return the events before the bad one and then
+// the error naming its index, exactly as a Next loop does.
+func TestReadChunkAcrossBufferBoundary(t *testing.T) {
+	for _, c := range boundaryTraces() {
+		if _, err := readByNext(c.data); err == nil || err.Error() != c.want {
+			t.Fatalf("%s: Next loop error %v, want %q", c.name, err, c.want)
+		}
+		want := readPrefix(t, c.data, c.events)
+		for _, size := range []int{1, 7, 1000, 5000} {
+			r, err := NewReader(bytes.NewReader(c.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Event
+			chunk := make([]Event, size)
+			for err == nil {
+				var n int
+				n, err = r.ReadChunk(chunk)
+				got = append(got, chunk[:n]...)
+			}
+			if err.Error() != c.want {
+				t.Fatalf("%s, chunks of %d: error %v, want %q", c.name, size, err, c.want)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, chunks of %d: %d events before the error, want the Next loop's %d", c.name, size, len(got), len(want))
+			}
+		}
+	}
+}
+
+// readPrefix returns the first n events of data as Next decodes them.
+func readPrefix(t *testing.T, data []byte, n int) []Event {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Event, n)
+	for i := range out {
+		if out[i], err = r.Next(); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	return out
 }
 
 // Property: streamed writes round trip through the incremental reader.

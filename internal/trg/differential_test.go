@@ -139,52 +139,3 @@ func TestBuilderMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestRowTableMatchesMap drives one row table with random adds across
-// several resizes and checks every count against a map.
-func TestRowTableMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var row rowTable
-	want := map[uint32]int64{}
-	for i := 0; i < 20000; i++ {
-		k := uint32(rng.Intn(3000))
-		if rng.Intn(4) == 0 {
-			k = rng.Uint32() >> 1
-		}
-		d := int64(1 + rng.Intn(3))
-		row.add(k, d)
-		want[k] += d
-	}
-	if row.n != len(want) {
-		t.Fatalf("n = %d, want %d", row.n, len(want))
-	}
-	if 4*row.n > 3*len(row.keys) {
-		t.Fatalf("load %d/%d above 3/4", row.n, len(row.keys))
-	}
-	for k, v := range want {
-		if got := row.get(k); got != v {
-			t.Fatalf("get(%d) = %d, want %d", k, got, v)
-		}
-	}
-	if row.get(1<<31+7) != 0 {
-		t.Fatal("absent key counted")
-	}
-	seen := 0
-	row.each(func(k uint32, v int64) {
-		seen++
-		if want[k] != v {
-			t.Fatalf("each(%d) = %d, want %d", k, v, want[k])
-		}
-	})
-	if seen != len(want) {
-		t.Fatalf("each visited %d keys, want %d", seen, len(want))
-	}
-	var sum rowTable
-	sum.merge(&row)
-	sum.merge(&row)
-	for k, v := range want {
-		if got := sum.get(k); got != 2*v {
-			t.Fatalf("merged get(%d) = %d, want %d", k, got, 2*v)
-		}
-	}
-}

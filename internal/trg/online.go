@@ -16,16 +16,16 @@ import (
 // entry and return, and Result can be taken at any point — no trace is ever
 // materialized.
 //
-// Both graphs accumulate as per-block row tables (one rowTable per node,
-// keyed by the intervening block) and become graph.Graph values only when
-// Result freezes them.
+// Both graphs accumulate in graph.Rows (one row table per block, keyed by
+// the intervening block) and become graph.Graph values only when Result
+// freezes them.
 type Builder struct {
 	prog    *program.Program
 	chunker *program.Chunker
 	keep    func(program.ProcID) bool
 
-	sel   edgeRows
-	place edgeRows
+	sel   graph.Rows
+	place graph.Rows
 	db    *PairDB // nil unless pair tracking enabled
 
 	qSel   *denseQueue
@@ -40,61 +40,6 @@ type Builder struct {
 	// telemetry.BucketIndex; a plain array so the per-event cost is one
 	// increment, merged into a shard wholesale by whoever wants it.
 	qHist [telemetry.NumBuckets]int64
-}
-
-// edgeRows accumulates one TRG: rows[u] counts, per intervening block v,
-// how often v occurred between two consecutive references to u. The edge
-// weight W(u,v) is rows[u][v] + rows[v][u].
-type edgeRows struct {
-	rows []rowTable
-	seen []bool // blocks observed, the graph's node set
-}
-
-func newEdgeRows(ids int) edgeRows {
-	return edgeRows{rows: make([]rowTable, ids), seen: make([]bool, ids)}
-}
-
-// record notes a reference to id and one interleaving with each block of
-// between.
-func (r *edgeRows) record(id BlockID, between []BlockID) {
-	r.seen[id] = true
-	row := &r.rows[id]
-	for _, v := range between {
-		row.add(uint32(v), 1)
-	}
-}
-
-// merge adds o's nodes and counts into r.
-func (r *edgeRows) merge(o *edgeRows) {
-	for u := range o.rows {
-		r.seen[u] = r.seen[u] || o.seen[u]
-		r.rows[u].merge(&o.rows[u])
-	}
-}
-
-// freeze builds the graph: every observed block is a node, and the edge
-// {u,v} carries rows[u][v] + rows[v][u], added once from the row of its
-// smaller endpoint (or from the only row that holds it).
-func (r *edgeRows) freeze() *graph.Graph {
-	g := graph.New()
-	for u := range r.rows {
-		if r.seen[u] {
-			g.AddNodeCap(graph.NodeID(u), r.rows[u].n)
-		}
-	}
-	for u := range r.rows {
-		r.rows[u].each(func(v uint32, w int64) {
-			if int(v) < u {
-				if r.rows[v].get(uint32(u)) != 0 {
-					return // added from v's row
-				}
-			} else {
-				w += r.rows[v].get(uint32(u))
-			}
-			g.AddEdgeWeight(graph.NodeID(u), graph.NodeID(v), w)
-		})
-	}
-	return g
 }
 
 // BuildStats summarizes one builder's construction effort: the inputs the
@@ -134,8 +79,8 @@ func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder,
 		keep: func(p program.ProcID) bool {
 			return opts.Popular == nil || opts.Popular.Contains(p)
 		},
-		sel:    newEdgeRows(prog.NumProcs()),
-		place:  newEdgeRows(chunker.NumChunks()),
+		sel:    graph.NewRows(prog.NumProcs()),
+		place:  graph.NewRows(chunker.NumChunks()),
 		qSel:   newDenseQueue(bound, prog.NumProcs()),
 		qPlace: newDenseQueue(bound, chunker.NumChunks()),
 	}
@@ -165,7 +110,7 @@ func (b *Builder) Observe(e trace.Event) {
 	// extent, the activation's cache footprint.
 	id := BlockID(p)
 	b.buf = b.qSel.between(id, b.buf[:0])
-	b.sel.record(id, b.buf)
+	b.sel.Record(id, b.buf)
 	b.qSel.touch(id, ext, b.events)
 	qLen := b.qSel.Len()
 	b.qLenSum += int64(qLen)
@@ -182,7 +127,7 @@ func (b *Builder) Observe(e trace.Event) {
 	for i := 0; i < n; i++ {
 		cid := first + BlockID(i)
 		b.buf = b.qPlace.between(cid, b.buf[:0])
-		b.place.record(cid, b.buf)
+		b.place.Record(cid, b.buf)
 		if b.db != nil {
 			b.db.addBetween(cid, b.buf)
 		}
@@ -238,8 +183,8 @@ func (b *Builder) resetQueues(sel, place *denseQueue) {
 // is commutative, so folding partial builders in any order gives the same
 // totals.
 func (b *Builder) absorb(o *Builder) {
-	b.sel.merge(&o.sel)
-	b.place.merge(&o.place)
+	b.sel.Merge(&o.sel)
+	b.place.Merge(&o.place)
 	b.events += o.events
 	b.qSteps += o.qSteps
 	b.qLenSum += o.qLenSum
@@ -258,8 +203,8 @@ func (b *Builder) Events() int64 { return b.events }
 // each call builds fresh graphs.
 func (b *Builder) Result() *Result {
 	res := &Result{
-		Select:  b.sel.freeze(),
-		Place:   b.place.freeze(),
+		Select:  b.sel.Freeze(),
+		Place:   b.place.Freeze(),
 		Chunker: b.chunker,
 	}
 	if b.qSteps > 0 {

@@ -3,6 +3,8 @@ package trg
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/graph"
 )
 
 // MaxPairChunks is the largest tracked chunk space the pair database
@@ -19,10 +21,10 @@ const MaxPairChunks = 1 << 16
 // the packed ranks of {r,s}, so a lookup is one probe in p's own small
 // table. Counts involving an untracked chunk are 0.
 type PairDB struct {
-	rank []int32    // BlockID → dense rank, -1 when untracked
-	ids  []BlockID  // dense rank → BlockID
-	rows []rowTable // by rank of p
-	buf  []uint32   // scratch ranks for addBetween
+	rank []int32          // BlockID → dense rank, -1 when untracked
+	ids  []BlockID        // dense rank → BlockID
+	rows []graph.RowTable // by rank of p
+	buf  []uint32         // scratch ranks for addBetween
 }
 
 // NewPairDB creates an empty database over the blocks in [0, ids) for
@@ -43,7 +45,7 @@ func NewPairDB(ids int, track func(BlockID) bool) (*PairDB, error) {
 	if n > MaxPairChunks {
 		return nil, fmt.Errorf("trg: pair database would track %d chunks, more than its limit of %d", n, MaxPairChunks)
 	}
-	d.rows = make([]rowTable, n)
+	d.rows = make([]graph.RowTable, n)
 	return d, nil
 }
 
@@ -68,7 +70,7 @@ func (d *PairDB) Add(p, r, s BlockID) error {
 	if rp < 0 || rr < 0 || rs < 0 || rr == rs {
 		return fmt.Errorf("trg: pair D(%d,{%d,%d}) outside the tracked chunks", p, r, s)
 	}
-	d.rows[rp].add(pairKey(rr, rs), 1)
+	d.rows[rp].Add(pairKey(rr, rs), 1)
 	return nil
 }
 
@@ -92,7 +94,7 @@ func (d *PairDB) addBetween(p BlockID, between []BlockID) {
 	for i, r := range ranks {
 		hi := r << 16
 		for _, s := range ranks[i+1:] {
-			row.add(hi|s, 1)
+			row.Add(hi|s, 1)
 		}
 	}
 	d.buf = ranks
@@ -105,7 +107,7 @@ func (d *PairDB) Count(p, r, s BlockID) int64 { return d.Row(p).Count(r, s) }
 func (d *PairDB) Len() int {
 	n := 0
 	for i := range d.rows {
-		n += d.rows[i].n
+		n += d.rows[i].Len()
 	}
 	return n
 }
@@ -114,13 +116,13 @@ func (d *PairDB) Len() int {
 // every pair. The zero PairRow counts 0 for every pair.
 type PairRow struct {
 	db *PairDB
-	t  *rowTable
+	t  *graph.RowTable
 }
 
 // Row returns p's counts. It is empty when p is untracked or no pair ever
 // intervened between two references to p.
 func (d *PairDB) Row(p BlockID) PairRow {
-	if rp := d.rankOf(p); rp >= 0 && d.rows[rp].n > 0 {
+	if rp := d.rankOf(p); rp >= 0 && d.rows[rp].Len() > 0 {
 		return PairRow{db: d, t: &d.rows[rp]}
 	}
 	return PairRow{}
@@ -138,7 +140,7 @@ func (r PairRow) Count(a, b BlockID) int64 {
 	if ra < 0 || rb < 0 || ra == rb {
 		return 0
 	}
-	return r.t.get(pairKey(ra, rb))
+	return r.t.Get(pairKey(ra, rb))
 }
 
 // Each calls fn once for every non-zero D(p,{a,b}) of the row's p, in
@@ -149,10 +151,5 @@ func (r PairRow) Each(fn func(a, b BlockID, n int64)) {
 		return
 	}
 	ids := r.db.ids
-	for i, k1 := range r.t.keys {
-		if k1 != 0 {
-			k := k1 - 1
-			fn(ids[k>>16], ids[k&0xffff], r.t.vals[i])
-		}
-	}
+	r.t.Each(func(k uint32, n int64) { fn(ids[k>>16], ids[k&0xffff], n) })
 }
